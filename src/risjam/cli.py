@@ -58,7 +58,7 @@ def _cmd_eval(args) -> int:
 
 def _settings_from_args(args) -> OptimizerSettings:
     kwargs = {}
-    for name in ("epsilon", "restarts", "max_outer", "n_draws", "inner_max_iters"):
+    for name in ("n_draws", "inner_max_iters"):
         value = getattr(args, name, None)
         if value is not None:
             kwargs[name] = value
@@ -145,12 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="jointly optimize power and phases")
     p_opt.add_argument("--config", required=True)
     p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--restarts", type=int, default=0)
     p_opt.add_argument("--dump-trace", action="store_true",
-                       help="include the per-iteration SJNR trace in the JSON")
-    p_opt.add_argument("--epsilon", type=float,
-                       help="relative-improvement stopping threshold")
-    p_opt.add_argument("--max-outer", type=int, dest="max_outer")
+                       help="include the SJNR trace (identity start, result) in the JSON")
     p_opt.add_argument("--n-draws", type=int, dest="n_draws")
     p_opt.add_argument("--inner-max-iters", type=int, dest="inner_max_iters")
     p_opt.set_defaults(func=_cmd_optimize)
@@ -165,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", help="override grid, comma-separated values")
     p_sweep.add_argument("--ris-sizes", dest="ris_sizes",
                          help="override RIS sizes, e.g. 3x3,5x5")
-    p_sweep.add_argument("--epsilon", type=float,
-                         help="relative-improvement stopping threshold")
-    p_sweep.add_argument("--max-outer", type=int, dest="max_outer")
     p_sweep.add_argument("--n-draws", type=int, dest="n_draws")
     p_sweep.add_argument("--inner-max-iters", type=int, dest="inner_max_iters")
     p_sweep.set_defaults(func=_cmd_sweep)

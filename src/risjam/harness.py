@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,50 +164,44 @@ def run_sweep(
     spec: SweepSpec,
     settings: OptimizerSettings | None = None,
     timing: bool = False,
-    max_workers: int | None = None,
 ) -> list:
     """All sweep rows, in deterministic (grid x size x method) order.
 
-    Points run concurrently in a thread pool; ordering and seeds are fixed
-    by the spec alone, so reruns produce identical rows. runtime_ms is 0
-    unless timing is requested (wall-clock timings are not reproducible).
+    Seeds are fixed by the spec alone, so reruns produce identical rows.
+    runtime_ms is 0 unless timing is requested (wall-clock timings are not
+    reproducible).
     """
     settings = settings or OptimizerSettings()
     points = spec.points
     children = np.random.SeedSequence(spec.seed).spawn(len(points))
     seeds = [int(child.generate_state(1, np.uint64)[0] % (2**63)) for child in children]
 
-    def run_point(i: int) -> list:
-        value, size = points[i]
+    def ms(t: float) -> int:
+        return int(round(t * 1000.0)) if timing else 0
+
+    rows = []
+    for (value, size), seed in zip(points, seeds):
         scenario = _scenario_at(spec, value, size)
         k = size[0] * size[1]
         t0 = time.perf_counter()
-        res: OptResult = optimize(scenario, settings, seed=seeds[i])
+        res: OptResult = optimize(scenario, settings, seed=seed)
         t_opt = time.perf_counter() - t0
         t0 = time.perf_counter()
         ident = baseline_identity(scenario)
         t_ident = time.perf_counter() - t0
         t0 = time.perf_counter()
-        rand = baseline_random_mean(scenario, spec.n_random, seed=seeds[i])
+        rand = baseline_random_mean(scenario, spec.n_random, seed=seed)
         t_rand = time.perf_counter() - t0
         bound_db = (
             10.0 * math.log10(res.sdp_bound) if res.sdp_bound > 0.0 else -math.inf
         )
-
-        def ms(t: float) -> int:
-            return int(round(t * 1000.0)) if timing else 0
-
-        return [
+        rows += [
             SweepRow(value, k, "optimized", res.final_report.sjnr_db, bound_db,
-                     ms(t_opt), seeds[i], res.converged),
-            SweepRow(value, k, "identity", ident.sjnr_db, None, ms(t_ident), seeds[i]),
-            SweepRow(value, k, "random_mean", rand.sjnr_db, None, ms(t_rand), seeds[i]),
+                     ms(t_opt), seed, res.converged),
+            SweepRow(value, k, "identity", ident.sjnr_db, None, ms(t_ident), seed),
+            SweepRow(value, k, "random_mean", rand.sjnr_db, None, ms(t_rand), seed),
         ]
-
-    workers = max_workers or min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_point = list(pool.map(run_point, range(len(points))))
-    return [row for rows in per_point for row in rows]
+    return rows
 
 
 def fig2_spec(base: Scenario | None = None, seed: int = 0) -> SweepSpec:

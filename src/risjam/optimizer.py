@@ -6,20 +6,20 @@ unit-modulus phase vector (with a trailing homogenization slot fixed to 1)
 so both total path gains become rank-one quadratic forms, relaxes to a
 unit-diagonal PSD program, solves the fractional SDP by Dinkelbach
 iteration, and recovers feasible phases by scored rank-one extraction.
-The alternating outer loop keeps the incumbent, so its SJNR trace is
-nondecreasing by construction.
+The phase maximizer does not depend on the power, so one power step and
+one phase solve reach the fixed point of alternating optimization.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .channel import ChannelSet, PhaseConfig, build_channel_set, identity_phases
 from .link import SjnrReport, effective_gains, sjnr
 from .scenario import Scenario, ValidationError
-from .sdp_core import HermitianMatrix, extract_rank_one, solve_fractional_sdp
+from .sdp_core import HermitianMatrix, _phase_project, extract_rank_one, solve_fractional_sdp
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,39 +70,25 @@ class LiftedProblem:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs of the alternating optimization and its inner solvers."""
+    """Knobs of the phase solve: extraction draws and the inner solvers."""
 
-    epsilon: float = 1e-3
-    max_outer: int = 20
     n_draws: int = 200
     dinkelbach_tol: float = 1e-6
     inner_tol: float = 1e-7
     inner_max_iters: int = 20000
     max_dinkelbach_steps: int = 50
-    restarts: int = 0
 
     def __post_init__(self):
-        for name in ("epsilon", "dinkelbach_tol", "inner_tol"):
+        for name in ("dinkelbach_tol", "inner_tol"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValidationError(f"{name} must be > 0, got {v!r}")
-        for name in ("max_outer", "n_draws", "inner_max_iters", "max_dinkelbach_steps"):
+        for name in ("n_draws", "inner_max_iters", "max_dinkelbach_steps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.restarts < 0:
-            raise ValidationError(f"restarts must be >= 0, got {self.restarts!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "max_outer": self.max_outer,
-            "n_draws": self.n_draws,
-            "dinkelbach_tol": self.dinkelbach_tol,
-            "inner_tol": self.inner_tol,
-            "inner_max_iters": self.inner_max_iters,
-            "max_dinkelbach_steps": self.max_dinkelbach_steps,
-            "restarts": self.restarts,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,18 +105,16 @@ class PhaseSolveResult:
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
-    """Full alternating-optimization outcome for one scenario and seed.
+    """Joint power/phase outcome for one scenario and seed.
 
-    sjnr_trace[0] is the identity-phase starting point; each following
-    entry is the incumbent after one outer iteration, so the trace is
-    nondecreasing and outer_iterations == len(sjnr_trace) - 1.
+    sjnr_trace is (identity-phase start, kept result), so it is
+    nondecreasing; converged is the phase solve's certificate flag.
     """
 
     phases: PhaseConfig
     p_tx: float
     sjnr_trace: tuple
     sdp_bound: float
-    outer_iterations: int
     converged: bool
     seed: int
     settings: OptimizerSettings
@@ -138,6 +122,10 @@ class OptResult:
     @property
     def final_report(self) -> SjnrReport:
         return self.sjnr_trace[-1]
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.sjnr_trace) - 1
 
     def to_json_dict(self, include_trace: bool = True) -> dict:
         out = {
@@ -197,25 +185,14 @@ def optimize_power(gains, p_max: float) -> float:
     return p_max
 
 
-def _aligned_candidate(w: np.ndarray) -> np.ndarray:
-    """Unit-modulus candidate maximizing |w^H u|, trailing slot pinned to 1."""
-    mag = np.abs(w)
-    u = np.ones(w.shape, dtype=complex)
-    nz = mag > 0.0
-    u[nz] = w[nz] / mag[nz]
-    u = u * np.conj(u[-1])
-    u[-1] = 1.0
-    return u
-
-
 def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) -> PhaseSolveResult:
     """Solve the phase subproblem: fractional SDR plus scored extraction.
 
     The extraction pool is the eigen/Gaussian candidates of the relaxed
-    solution plus the deterministic coherent alignment of the transmitter
-    factor (exact in the no-jamming limit). Candidates are scored by their
-    true SJNR, so the returned value is always feasible and the certified
-    relaxation bound always dominates it.
+    solution plus the phase projection of the transmitter factor w_tx, its
+    coherent alignment (exact in the no-jamming limit). Candidates are
+    scored by their true SJNR, so the returned value is always feasible and
+    the certified relaxation bound always dominates it.
     """
     fs = solve_fractional_sdp(
         lifted.d_tx,
@@ -229,7 +206,7 @@ def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) ->
         inner_max_iters=settings.inner_max_iters,
     )
     best_vec, best_score = extract_rank_one(fs.v_opt, settings.n_draws, seed, lifted.sjnr_of)
-    aligned = _aligned_candidate(lifted.w_tx)
+    aligned = _phase_project(lifted.w_tx)
     aligned_score = lifted.sjnr_of(aligned)
     if aligned_score > best_score:
         best_vec, best_score = aligned, aligned_score
@@ -243,72 +220,39 @@ def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) ->
     )
 
 
-def alternate(scenario: Scenario, settings: OptimizerSettings | None = None, seed: int = 0) -> OptResult:
-    """Alternating optimization with incumbent retention.
+def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed: int = 0) -> OptResult:
+    """Power at the cap, one phase solve, and the better of it and identity.
 
-    Starts from identity phases at the power cap, records the SJNR after
-    each outer iteration, and stops once the relative improvement drops
-    below epsilon or max_outer is reached.
+    This is alternating optimization run to its fixed point: for fixed
+    phases the SJNR p*F(u) / (p_jam*G(u) + N) increases in p, so the power
+    step returns the cap whatever the phases are; for fixed power the phase
+    maximizer of F(u) / (p_jam*G(u) + N) does not depend on p. A second
+    round would repeat the same phase solve.
     """
     settings = settings or OptimizerSettings()
     channels = build_channel_set(scenario)
-    p_tx = scenario.p_tx_max
-    phases = identity_phases(scenario.num_elements)
-    report = sjnr(
-        effective_gains(channels, phases), p_tx, scenario.p_jam, scenario.noise_power
+    identity = identity_phases(scenario.num_elements)
+    gains = effective_gains(channels, identity)
+    p_tx = optimize_power(gains, scenario.p_tx_max)
+    start = sjnr(gains, p_tx, scenario.p_jam, scenario.noise_power)
+    ps = optimize_phases(lift(channels, scenario, p_tx=p_tx), settings, seed)
+    candidate = sjnr(
+        effective_gains(channels, ps.phases), p_tx, scenario.p_jam, scenario.noise_power
     )
-    trace = [report]
-    incumbent_phases, incumbent = phases, report
-    lifted = lift(channels, scenario, p_tx=p_tx)
-    children = np.random.SeedSequence(seed).spawn(settings.max_outer)
-    sdp_bound = math.inf
-    converged = False
-    inner_ok = True
-
-    for i in range(settings.max_outer):
-        p_tx = optimize_power(
-            effective_gains(channels, incumbent_phases), scenario.p_tx_max
-        )
-        ps = optimize_phases(lifted, settings, children[i])
-        inner_ok = inner_ok and ps.converged
-        sdp_bound = min(sdp_bound, ps.sdp_bound)
-        candidate_report = sjnr(
-            effective_gains(channels, ps.phases), p_tx, scenario.p_jam, scenario.noise_power
-        )
-        if candidate_report.sjnr_linear > incumbent.sjnr_linear:
-            incumbent_phases, incumbent = ps.phases, candidate_report
-        previous = trace[-1].sjnr_linear
-        trace.append(incumbent)
-        if previous > 0.0:
-            rel_change = abs(incumbent.sjnr_linear - previous) / previous
-        else:
-            rel_change = math.inf if incumbent.sjnr_linear > 0.0 else 0.0
-        if rel_change < settings.epsilon:
-            converged = True
-            break
-
+    if candidate.sjnr_linear > start.sjnr_linear:
+        phases, best = ps.phases, candidate
+    else:
+        phases, best = identity, start
     return OptResult(
-        phases=incumbent_phases,
+        phases=phases,
         p_tx=p_tx,
-        sjnr_trace=tuple(trace),
-        sdp_bound=max(sdp_bound, incumbent.sjnr_linear),
-        outer_iterations=len(trace) - 1,
-        converged=converged and inner_ok,
+        sjnr_trace=(start, best),
+        sdp_bound=max(ps.sdp_bound, best.sjnr_linear),
+        converged=ps.converged,
         seed=seed,
         settings=settings,
     )
 
 
-def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed: int = 0) -> OptResult:
-    """alternate() plus optional extra seeded restarts; best final SJNR wins.
-
-    The phase subproblem does not depend on the current phases, so restarts
-    vary only the extraction randomization; ties keep the earliest run.
-    """
-    settings = settings or OptimizerSettings()
-    best = alternate(scenario, settings, seed)
-    for r in range(1, settings.restarts + 1):
-        contender = alternate(scenario, settings, seed + 1000003 * r)
-        if contender.final_report.sjnr_linear > best.final_report.sjnr_linear:
-            best = contender
-    return best
+# The benchmark's tracer (bench/tracing.py) wraps this name; same function.
+alternate = optimize

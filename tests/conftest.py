@@ -43,6 +43,17 @@ def make_random_scenario(rng: np.random.Generator, k_rows=None, k_cols=None, **o
     return Scenario(**fields)
 
 
+def make_stall_scenario() -> Scenario:
+    """A K = 25 instance on which the phase solve needs a long ADMM run.
+
+    The second draw under default_rng(7) (a 3x3 draw, then a 5x5 one); with
+    inner_max_iters=1 its solve stops uncertified in well under a second.
+    """
+    rng = np.random.default_rng(7)
+    make_random_scenario(rng, k_rows=3, k_cols=3)
+    return make_random_scenario(rng, k_rows=5, k_cols=5)
+
+
 @pytest.fixture
 def random_scenario():
     return make_random_scenario

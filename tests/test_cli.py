@@ -4,15 +4,35 @@ import json
 import numpy as np
 import pytest
 
-from risjam import CSV_HEADER, default_scenario, evaluate
+from risjam import CSV_HEADER, default_scenario, evaluate, linear_to_db
 from risjam.channel import PhaseConfig
 from risjam.cli import main
+
+from conftest import make_stall_scenario
 
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"k_rows": 2, "k_cols": 2}))
+    return str(path)
+
+
+@pytest.fixture
+def stall_config_path(tmp_path):
+    sc = make_stall_scenario()
+    path = tmp_path / "stall.json"
+    path.write_text(json.dumps({
+        "pos_tx_m": [sc.pos_tx.x, sc.pos_tx.y, sc.pos_tx.z],
+        "pos_jam_m": [sc.pos_jam.x, sc.pos_jam.y, sc.pos_jam.z],
+        "pos_ris_m": [sc.pos_ris.x, sc.pos_ris.y, sc.pos_ris.z],
+        "pos_ue_m": [sc.pos_ue.x, sc.pos_ue.y, sc.pos_ue.z],
+        "p_tx_dbw": linear_to_db(sc.p_tx_max),
+        "p_jam_dbw": linear_to_db(sc.p_jam),
+        "rho_db": linear_to_db(sc.rho),
+        "k_rows": sc.k_rows,
+        "k_cols": sc.k_cols,
+    }))
     return str(path)
 
 
@@ -116,11 +136,10 @@ class TestOptimize:
         assert isinstance(payload["sjnr_trace"], list)
         assert len(payload["sjnr_trace"]) == payload["outer_iterations"] + 1
 
-    def test_budget_exhaustion_exits_3_with_output(self, capsys, config_path):
+    def test_budget_exhaustion_exits_3_with_output(self, capsys, stall_config_path):
         code, out, _ = run_cli(
             capsys,
-            ["optimize", "--config", config_path,
-             "--max-outer", "1", "--epsilon", "1e-18"],
+            ["optimize", "--config", stall_config_path, "--inner-max-iters", "1"],
         )
         assert code == 3
         payload = json.loads(out)  # partial result still printed
@@ -128,7 +147,7 @@ class TestOptimize:
 
     def test_bad_settings_exit_2(self, capsys, config_path):
         code, _, err = run_cli(
-            capsys, ["optimize", "--config", config_path, "--epsilon", "-1"]
+            capsys, ["optimize", "--config", config_path, "--n-draws", "0"]
         )
         assert code == 2
 
@@ -179,17 +198,19 @@ class TestSweep:
         )
         assert code == 2
 
-    def test_nonconvergence_exits_3_but_writes(self, capsys, config_path, tmp_path):
+    def test_nonconvergence_exits_3_but_writes(self, capsys, stall_config_path, tmp_path):
         out_csv = tmp_path / "rows.csv"
         code, _, _ = run_cli(
             capsys,
-            ["sweep", "--figure", "fig2", "--config", config_path,
-             "--out", str(out_csv), "--grid", "300000", "--ris-sizes", "2x2",
-             "--max-outer", "1", "--epsilon", "1e-18", "--n-draws", "20"],
+            ["sweep", "--figure", "fig4", "--config", stall_config_path,
+             "--out", str(out_csv), "--ris-sizes", "5x5",
+             "--inner-max-iters", "1", "--n-draws", "20"],
         )
         assert code == 3
         assert out_csv.exists()
-        assert out_csv.read_text().splitlines()[0] == CSV_HEADER
+        lines = out_csv.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 4
 
     def test_malformed_sizes_exit_2(self, capsys, config_path, tmp_path):
         code, _, _ = run_cli(
@@ -225,3 +246,12 @@ class TestParser:
     def test_missing_required_arg_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main(["eval"])
+
+    def test_removed_loop_flags_exit_2(self, config_path):
+        sweep = ["sweep", "--figure", "fig4", "--out", "unused.csv"]
+        for argv in (["optimize", "--max-outer", "1"], ["optimize", "--epsilon", "1e-3"],
+                     ["optimize", "--restarts", "2"], sweep + ["--max-outer", "1"],
+                     sweep + ["--epsilon", "1e-3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--config", config_path])
+            assert exc.value.code == 2

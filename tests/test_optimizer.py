@@ -1,4 +1,4 @@
-"""Lifting, power step, phase subproblem, and the alternating loop."""
+"""Lifting, power step, phase subproblem, and the joint optimization."""
 import dataclasses
 import math
 
@@ -10,7 +10,6 @@ from risjam import (
     OptimizerSettings,
     PhaseConfig,
     ValidationError,
-    alternate,
     build_channel_set,
     default_scenario,
     evaluate,
@@ -22,9 +21,9 @@ from risjam import (
 )
 from risjam.channel import TWO_PI
 
-from conftest import make_random_scenario
+from conftest import make_random_scenario, make_stall_scenario
 
-FAST = OptimizerSettings(n_draws=50, max_outer=5)
+FAST = OptimizerSettings(n_draws=50)
 
 
 def candidate_from_phases(pc: PhaseConfig) -> np.ndarray:
@@ -144,14 +143,14 @@ class TestPhaseSubproblem:
 class TestAlternate:
     def test_trace_starts_at_identity_baseline(self):
         sc = default_scenario()
-        res = alternate(sc, FAST, seed=0)
+        res = optimize(sc, FAST, seed=0)
         assert res.sjnr_trace[0].sjnr_linear == evaluate(sc).sjnr_linear
 
     def test_trace_nondecreasing_and_bounded(self):
         rng = np.random.default_rng(53)
         for _ in range(5):
             sc = make_random_scenario(rng)
-            res = alternate(sc, FAST, seed=1)
+            res = optimize(sc, FAST, seed=1)
             vals = [r.sjnr_linear for r in res.sjnr_trace]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             assert vals[-1] <= res.sdp_bound * (1 + 1e-6)
@@ -159,12 +158,12 @@ class TestAlternate:
 
     def test_power_is_the_cap(self):
         sc = default_scenario()
-        res = alternate(sc, FAST, seed=0)
+        res = optimize(sc, FAST, seed=0)
         assert res.p_tx == sc.p_tx_max
 
     def test_ris_disabled_converges_immediately(self):
         sc = default_scenario(ris_enabled=False)
-        res = alternate(sc, seed=0)
+        res = optimize(sc, seed=0)
         assert res.converged
         assert res.outer_iterations == 1
         assert res.final_report.sjnr_linear == pytest.approx(
@@ -173,31 +172,26 @@ class TestAlternate:
 
     def test_seed_determinism(self):
         sc = default_scenario()
-        a = alternate(sc, FAST, seed=42)
-        b = alternate(sc, FAST, seed=42)
+        a = optimize(sc, FAST, seed=42)
+        b = optimize(sc, FAST, seed=42)
         assert a.final_report.sjnr_linear == b.final_report.sjnr_linear
         assert np.array_equal(a.phases.thetas, b.phases.thetas)
         assert a.outer_iterations == b.outer_iterations
 
     def test_improves_on_identity(self):
         sc = default_scenario()
-        res = alternate(sc, seed=0)
+        res = optimize(sc, seed=0)
         assert res.final_report.sjnr_linear > evaluate(sc).sjnr_linear
 
     def test_exhausted_budget_reports_nonconvergence(self):
-        sc = default_scenario()
-        res = alternate(sc, OptimizerSettings(epsilon=1e-18, max_outer=1, n_draws=20), seed=0)
+        sc = make_stall_scenario()
+        res = optimize(sc, OptimizerSettings(inner_max_iters=1, n_draws=20), seed=0)
         assert not res.converged
         assert res.outer_iterations == 1
+        assert res.final_report.sjnr_linear <= res.sdp_bound * (1 + 1e-9)
 
 
 class TestOptimize:
-    def test_restarts_never_hurt(self):
-        sc = default_scenario(k_rows=2, k_cols=2)
-        base = optimize(sc, OptimizerSettings(n_draws=20, max_outer=3), seed=9)
-        more = optimize(sc, OptimizerSettings(n_draws=20, max_outer=3, restarts=2), seed=9)
-        assert more.final_report.sjnr_linear >= base.final_report.sjnr_linear
-
     def test_json_trace_toggle(self):
         res = optimize(default_scenario(), FAST, seed=0)
         with_trace = res.to_json_dict(include_trace=True)
@@ -211,15 +205,13 @@ class TestOptimize:
 class TestSettings:
     def test_defaults_valid(self):
         s = OptimizerSettings()
-        assert s.epsilon == 1e-3
-        assert s.max_outer == 20
+        assert s.n_draws == 200
+        assert s.inner_max_iters == 20000
 
     def test_rejections(self):
         with pytest.raises(ValidationError):
-            OptimizerSettings(epsilon=0.0)
+            OptimizerSettings(dinkelbach_tol=0.0)
         with pytest.raises(ValidationError):
-            OptimizerSettings(max_outer=0)
+            OptimizerSettings(inner_max_iters=0)
         with pytest.raises(ValidationError):
             OptimizerSettings(n_draws=0)
-        with pytest.raises(ValidationError):
-            OptimizerSettings(restarts=-1)
