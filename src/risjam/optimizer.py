@@ -61,10 +61,14 @@ class LiftedProblem:
     def order(self) -> int:
         return self.d_tx.order
 
-    def sjnr_of(self, candidate: np.ndarray) -> float:
-        """Exact SJNR of a unit-modulus candidate via the rank-one factors."""
-        f = abs(np.vdot(self.w_tx, candidate)) ** 2
-        g = abs(np.vdot(self.w_jam, candidate)) ** 2
+    def sjnr_of(self, candidate: np.ndarray) -> float | np.ndarray:
+        """Exact SJNR of unit-modulus candidates via the rank-one factors.
+
+        candidate is one vector of shape (n,), giving one SJNR, or a block
+        of shape (n, m) whose columns are candidates, giving m SJNRs.
+        """
+        f = np.abs(self.w_tx.conj() @ candidate) ** 2
+        g = np.abs(self.w_jam.conj() @ candidate) ** 2
         return self.p_tx * f / (self.p_jam * g + self.noise_power)
 
 

@@ -356,27 +356,27 @@ def solve_fractional_sdp(
 def extract_rank_one(v, n_draws: int, seed, score) -> tuple:
     """Best unit-modulus vector from eigen and Gaussian candidates.
 
-    Candidates are the phase-projected leading eigenvector of v plus
-    n_draws phase-projected samples from CN(0, v); every candidate has
-    its last entry pinned to exactly 1. Returns (vector, score) for the
-    caller-scored maximum; ties keep the earliest candidate.
+    The pool is one (n, n_draws + 1) array: column 0 is the phase-projected
+    leading eigenvector of v, the other columns are n_draws phase-projected
+    samples from CN(0, v); every column has its last entry pinned to
+    exactly 1. score maps the whole (n, m) block to its m scores in one
+    call. Returns (vector, score) for the maximum; ties keep the earliest
+    column and a NaN score never wins: it counts as -inf.
     """
     v = _as_hermitian(v)
     if n_draws < 1:
         raise ValidationError(f"n_draws must be >= 1, got {n_draws!r}")
     w, q = np.linalg.eigh(v.entries)
-    candidates = [_phase_project(q[:, -1])]
     root = q * np.sqrt(np.clip(w, 0.0, None))
     rng = np.random.default_rng(seed)
     shape = (v.order, n_draws)
     samples = root @ ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0))
-    for j in range(n_draws):
-        candidates.append(_phase_project(samples[:, j]))
-    best_vec = None
-    best_score = -math.inf
-    for cand in candidates:
-        s = float(score(cand))
-        if s > best_score:
-            best_score = s
-            best_vec = cand
-    return best_vec, best_score
+    pool = _phase_project(np.column_stack([q[:, -1], samples]))
+    scores = np.asarray(score(pool), dtype=float)
+    if scores.shape != (pool.shape[1],):
+        raise ValidationError(
+            f"score must return one value per column, got shape {scores.shape}"
+        )
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    best = int(np.argmax(scores))
+    return pool[:, best].copy(), float(scores[best])

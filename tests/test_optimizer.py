@@ -41,6 +41,23 @@ class TestLift:
             via_link = evaluate(sc, pc).sjnr_linear
             assert via_lift == pytest.approx(via_link, rel=1e-12)
 
+    def test_block_matches_per_column(self):
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            sc = make_random_scenario(rng)
+            lifted = lift(build_channel_set(sc), sc)
+            block = np.stack(
+                [
+                    candidate_from_phases(PhaseConfig(rng.uniform(0, TWO_PI, sc.num_elements)))
+                    for _ in range(9)
+                ],
+                axis=1,
+            )
+            got = lifted.sjnr_of(block)
+            assert got.shape == (9,)
+            for j in range(9):
+                assert got[j] == pytest.approx(lifted.sjnr_of(block[:, j]), rel=1e-12)
+
     def test_outer_products_are_rank_one(self):
         sc = default_scenario()
         lifted = lift(build_channel_set(sc), sc)

@@ -204,6 +204,30 @@ class TestFractionalSdp:
             solve_fractional_sdp(np.eye(2), np.eye(3), 1.0, 1.0, 1.0)
 
 
+def reference_extract(v, n_draws, seed, score_one):
+    """The pool built and scored one candidate at a time; the first strict
+    maximum wins and a NaN score is skipped."""
+    v = HermitianMatrix(v).entries
+    w, q = np.linalg.eigh(v)
+    root = q * np.sqrt(np.clip(w, 0.0, None))
+    rng = np.random.default_rng(seed)
+    shape = (v.shape[0], n_draws)
+    samples = root @ ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0))
+    best_vec, best = None, -math.inf
+    for x in [q[:, -1]] + [samples[:, j] for j in range(n_draws)]:
+        c = x / np.abs(x)
+        c = c * np.conj(c[-1])
+        c[-1] = 1.0
+        s = float(score_one(c))
+        if s > best:
+            best_vec, best = c, s
+    return best_vec, best
+
+
+def per_column(score_one):
+    return lambda block: np.array([score_one(block[:, j]) for j in range(block.shape[1])])
+
+
 class TestExtraction:
     def test_recovers_rank_one_optimum(self):
         rng = np.random.default_rng(71)
@@ -212,8 +236,8 @@ class TestExtraction:
         v = np.outer(u, u.conj())
 
         # |u^H c|^2 over unit-modulus c is maximized exactly at c = u
-        def score(cand):
-            return abs(np.vdot(u, cand)) ** 2
+        def score(block):
+            return np.abs(u.conj() @ block) ** 2
 
         vec, got = extract_rank_one(v, 50, 0, score)
         assert got == pytest.approx(25.0, rel=1e-9)
@@ -222,12 +246,12 @@ class TestExtraction:
 
     def test_last_entry_exactly_one(self):
         v = random_psd(4, 81) + 4 * np.eye(4)
-        vec, _ = extract_rank_one(v, 10, 3, lambda c: abs(c.sum()))
+        vec, _ = extract_rank_one(v, 10, 3, lambda c: np.abs(c.sum(axis=0)))
         assert vec[-1] == 1.0 + 0.0j
 
     def test_deterministic_in_seed(self):
         v = random_psd(6, 91) + 6 * np.eye(6)
-        score = lambda c: float(np.real(c.sum()))
+        score = lambda c: np.real(c.sum(axis=0))
         a_vec, a_val = extract_rank_one(v, 25, 1234, score)
         b_vec, b_val = extract_rank_one(v, 25, 1234, score)
         assert a_val == b_val
@@ -235,10 +259,50 @@ class TestExtraction:
 
     def test_more_draws_never_worse(self):
         v = random_psd(5, 101) + 5 * np.eye(5)
-        score = lambda c: float(np.real(np.vdot(c, v @ c)))
+        score = lambda c: np.real(np.einsum("ij,ij->j", c.conj(), v @ c))
         _, few = extract_rank_one(v, 5, 7, score)
         _, many = extract_rank_one(v, 200, 7, score)
         assert many >= few - 1e-12
+
+    @pytest.mark.parametrize(
+        "n, seed, score_one",
+        [
+            (5, 121, lambda c: float(np.real(c.sum()))),
+            # coarse levels make ties, so the first maximum must win
+            (5, 122, lambda c: math.floor(2.0 * np.real(c.sum()))),
+            (7, 123, lambda c: round(abs(c[:3].sum()))),
+            (3, 124, lambda c: 1.0),
+        ],
+    )
+    def test_batched_pick_matches_per_candidate_loop(self, n, seed, score_one):
+        v = random_psd(n, seed) + 0.1 * np.eye(n)
+        ref_vec, ref_val = reference_extract(v, 40, seed, score_one)
+        vec, val = extract_rank_one(v, 40, seed, per_column(score_one))
+        assert val == ref_val
+        assert np.array_equal(vec, ref_vec)
+
+    def test_nan_score_never_wins(self):
+        v = random_psd(4, 131) + 4 * np.eye(4)
+        every = list(range(21))
+        for nan_cols in ([0, 3], every[1:], [c for c in every if c != 7], every):
+            seen = {}
+
+            def score(block):
+                seen["pool"] = block.copy()
+                s = np.real(block.sum(axis=0))
+                s[nan_cols] = np.nan
+                return s
+
+            vec, val = extract_rank_one(v, 20, 5, score)
+            finite = np.real(seen["pool"].sum(axis=0))
+            finite[nan_cols] = -np.inf
+            best = int(np.argmax(finite))
+            assert val == finite[best]
+            assert np.array_equal(vec, seen["pool"][:, best])
+
+    def test_rejects_one_score_per_call(self):
+        with pytest.raises(ValidationError):
+            extract_rank_one(np.eye(3), 4, 0, lambda c: 1.0)
 
     def test_scalar_case(self):
         vec, val = extract_rank_one(np.array([[1.0]]), 3, 0, lambda c: abs(c[0]))
