@@ -2,43 +2,22 @@
 
 from .scenario import (
     DEFAULT_CONFIG,
-    AoaAngles,
     Position3D,
     Scenario,
     ValidationError,
-    aoa_angles,
     db_to_linear,
     default_scenario,
-    distance,
     linear_to_db,
     load_config,
     noise_power_from,
     scenario_from_config,
 )
-from .channel import (
-    ChannelSet,
-    PhaseConfig,
-    build_channel_set,
-    cascade_channel,
-    direct_channel,
-    identity_phases,
-    ris_link_channel,
-    steering_vector,
-)
-from .link import EffectiveGains, SjnrReport, effective_gains, evaluate, sjnr
-from .sdp_core import (
-    FractionalSolution,
-    HermitianMatrix,
-    SdpSolution,
-    extract_rank_one,
-    solve_fractional_sdp,
-    solve_unit_diag_sdp,
-)
+from .channel import PhaseConfig, build_channel_set, identity_phases
+from .link import SjnrReport, effective_gains, evaluate, sjnr
+from .sdp_core import extract_rank_one, solve_fractional_sdp, solve_unit_diag_sdp
 from .optimizer import (
-    LiftedProblem,
     OptimizerSettings,
     OptResult,
-    PhaseSolveResult,
     lift,
     optimize,
     optimize_phases,
@@ -46,7 +25,6 @@ from .optimizer import (
 )
 from .harness import (
     CSV_HEADER,
-    SweepRow,
     SweepSpec,
     baseline_identity,
     baseline_random_mean,
@@ -64,32 +42,19 @@ __version__ = "0.1.0"
 __all__ = [
     "CSV_HEADER",
     "DEFAULT_CONFIG",
-    "AoaAngles",
-    "ChannelSet",
-    "EffectiveGains",
-    "FractionalSolution",
-    "HermitianMatrix",
-    "LiftedProblem",
     "OptResult",
     "OptimizerSettings",
     "PhaseConfig",
-    "PhaseSolveResult",
     "Position3D",
     "Scenario",
-    "SdpSolution",
     "SjnrReport",
-    "SweepRow",
     "SweepSpec",
     "ValidationError",
-    "aoa_angles",
     "baseline_identity",
     "baseline_random_mean",
     "build_channel_set",
-    "cascade_channel",
     "db_to_linear",
     "default_scenario",
-    "direct_channel",
-    "distance",
     "effective_gains",
     "evaluate",
     "extract_rank_one",
@@ -106,13 +71,11 @@ __all__ = [
     "optimize_phases",
     "optimize_power",
     "oracle_exhaustive",
-    "ris_link_channel",
     "run_sweep",
     "scenario_from_config",
     "sjnr",
     "solve_fractional_sdp",
     "solve_unit_diag_sdp",
-    "steering_vector",
     "write_sweep_csv",
     "__version__",
 ]

@@ -6,6 +6,7 @@ a solver failed to converge (partial output is still emitted).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -13,7 +14,6 @@ import numpy as np
 
 from .channel import PhaseConfig, build_channel_set
 from .harness import (
-    SweepSpec,
     fig2_spec,
     fig3_spec,
     fig4_spec,
@@ -41,7 +41,11 @@ def _load_phases(path: str) -> PhaseConfig:
             "phases file must be a JSON list of radians or an object with "
             "a phases_rad/thetas_rad list"
         )
-    return PhaseConfig(np.asarray(data, dtype=float))
+    try:
+        thetas = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"phases in {path} must be numbers in radians: {exc}") from exc
+    return PhaseConfig(thetas)
 
 
 def _cmd_eval(args) -> int:
@@ -94,7 +98,7 @@ def _parse_sizes(text: str) -> tuple:
 
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
-    spec: SweepSpec = _FIG_SPECS[args.figure](base=base, seed=args.seed)
+    spec = _FIG_SPECS[args.figure](base=base, seed=args.seed)
     overrides = {}
     if args.ris_sizes is not None:
         sizes = _parse_sizes(args.ris_sizes)
@@ -107,15 +111,7 @@ def _cmd_sweep(args) -> int:
                 "the element-count sweep derives its grid from --ris-sizes"
             )
         overrides["grid"] = _parse_grid(args.grid)
-    if overrides:
-        spec = SweepSpec(
-            variable=spec.variable,
-            grid=overrides.get("grid", spec.grid),
-            ris_sizes=overrides.get("ris_sizes", spec.ris_sizes),
-            base=spec.base,
-            seed=spec.seed,
-            n_random=spec.n_random,
-        )
+    spec = dataclasses.replace(spec, **overrides)
     rows = run_sweep(spec, settings=_settings_from_args(args), timing=args.timing)
     write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -19,7 +19,6 @@ from .optimizer import OptimizerSettings, OptResult, optimize
 from .scenario import Position3D, Scenario, ValidationError, default_scenario
 
 SWEEP_VARIABLES = ("leo_distance", "ris_distance", "num_elements")
-SWEEP_METHODS = ("optimized", "identity", "random_mean")
 CSV_HEADER = "variable,K,method,sjnr_db,sdp_bound_db,runtime_ms,seed"
 ORACLE_BUDGET = 1_000_000
 
@@ -91,6 +90,17 @@ class SweepRow:
     converged: bool = True
 
 
+def _block_sjnr(scenario: Scenario, phasors: np.ndarray) -> tuple:
+    """Linear SJNR at the power cap, and the jammer gain, per row of phasors."""
+    channels = build_channel_set(scenario)
+    terms_tx = np.conj(channels.h_ris_ue) * channels.h_tx_ris
+    terms_jam = np.conj(channels.h_ris_ue) * channels.h_jam_ris
+    gamma = np.abs(channels.h_tx_ue + phasors @ terms_tx) ** 2
+    delta = np.abs(channels.h_jam_ue + phasors @ terms_jam) ** 2
+    lin = scenario.p_tx_max * gamma / (scenario.p_jam * delta + scenario.noise_power)
+    return lin, delta
+
+
 def baseline_identity(scenario: Scenario) -> SjnrReport:
     """SJNR at identity phases and the power cap; one non-optimized reading."""
     return evaluate(scenario)
@@ -104,14 +114,9 @@ def baseline_random_mean(scenario: Scenario, n_samples: int = 100, seed: int = 0
     """
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples!r}")
-    channels = build_channel_set(scenario)
-    terms_tx = np.conj(channels.h_ris_ue) * channels.h_tx_ris
-    terms_jam = np.conj(channels.h_ris_ue) * channels.h_jam_ris
     rng = np.random.default_rng(seed)
     phasors = np.exp(1j * rng.uniform(0.0, TWO_PI, (n_samples, scenario.num_elements)))
-    gamma = np.abs(channels.h_tx_ue + phasors @ terms_tx) ** 2
-    delta = np.abs(channels.h_jam_ue + phasors @ terms_jam) ** 2
-    lin = scenario.p_tx_max * gamma / (scenario.p_jam * delta + scenario.noise_power)
+    lin, delta = _block_sjnr(scenario, phasors)
     mean_lin = float(np.mean(lin))
     jam_w = float(np.mean(scenario.p_jam * delta))
     return SjnrReport(
@@ -135,15 +140,9 @@ def oracle_exhaustive(scenario: Scenario, levels: int) -> SjnrReport:
         raise ValidationError(
             f"exhaustive budget exceeded: {levels}**{k} > {ORACLE_BUDGET}"
         )
-    channels = build_channel_set(scenario)
-    terms_tx = np.conj(channels.h_ris_ue) * channels.h_tx_ris
-    terms_jam = np.conj(channels.h_ris_ue) * channels.h_jam_ris
     axis = TWO_PI * np.arange(levels) / levels
     combos = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    phasors = np.exp(1j * combos)
-    gamma = np.abs(channels.h_tx_ue + phasors @ terms_tx) ** 2
-    delta = np.abs(channels.h_jam_ue + phasors @ terms_jam) ** 2
-    lin = scenario.p_tx_max * gamma / (scenario.p_jam * delta + scenario.noise_power)
+    lin, _ = _block_sjnr(scenario, np.exp(1j * combos))
     best = int(np.argmax(lin))
     return evaluate(scenario, PhaseConfig(combos[best]))
 

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import ChannelSet, PhaseConfig, build_channel_set, identity_phases
 from .link import SjnrReport, effective_gains, sjnr
 from .scenario import Scenario, ValidationError
-from .sdp_core import HermitianMatrix, _phase_project, extract_rank_one, solve_fractional_sdp
+from .sdp_core import _phase_project, extract_rank_one, solve_fractional_sdp
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,11 +28,9 @@ class LiftedProblem:
 
     w_tx / w_jam are the rank-one factors: for a unit-modulus candidate u
     with trailing slot 1, |w^H u|^2 equals |h_direct + h_cascade|^2 of the
-    corresponding satellite exactly. d_tx / d_jam are their outer products.
+    corresponding satellite exactly, so the lifted forms are w w^H.
     """
 
-    d_tx: HermitianMatrix
-    d_jam: HermitianMatrix
     w_tx: np.ndarray
     w_jam: np.ndarray
     p_tx: float
@@ -40,16 +38,16 @@ class LiftedProblem:
     noise_power: float
 
     def __post_init__(self):
-        if self.d_tx.order != self.d_jam.order:
-            raise ValidationError(
-                f"lifted orders differ: {self.d_tx.order} vs {self.d_jam.order}"
-            )
         for name in ("w_tx", "w_jam"):
             arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.shape != (self.d_tx.order,):
-                raise ValidationError(f"{name} must have length {self.d_tx.order}")
+            if arr.ndim != 1 or arr.size < 1:
+                raise ValidationError(f"{name} must be a nonempty 1-D array")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.w_tx.shape != self.w_jam.shape:
+            raise ValidationError(
+                f"lifted orders differ: {self.w_tx.size} vs {self.w_jam.size}"
+            )
         if not (math.isfinite(self.p_tx) and self.p_tx > 0.0):
             raise ValidationError(f"p_tx must be > 0, got {self.p_tx!r}")
         if not (math.isfinite(self.p_jam) and self.p_jam >= 0.0):
@@ -59,7 +57,7 @@ class LiftedProblem:
 
     @property
     def order(self) -> int:
-        return self.d_tx.order
+        return int(self.w_tx.size)
 
     def sjnr_of(self, candidate: np.ndarray) -> float | np.ndarray:
         """Exact SJNR of unit-modulus candidates via the rank-one factors.
@@ -74,20 +72,13 @@ class LiftedProblem:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs of the phase solve: extraction draws and the inner solvers."""
+    """Knobs of the phase solve: extraction draws and the ADMM iteration cap."""
 
     n_draws: int = 200
-    dinkelbach_tol: float = 1e-6
-    inner_tol: float = 1e-7
     inner_max_iters: int = 20000
-    max_dinkelbach_steps: int = 50
 
     def __post_init__(self):
-        for name in ("dinkelbach_tol", "inner_tol"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValidationError(f"{name} must be > 0, got {v!r}")
-        for name in ("n_draws", "inner_max_iters", "max_dinkelbach_steps"):
+        for name in ("n_draws", "inner_max_iters"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)!r}")
 
@@ -172,8 +163,6 @@ def lift(channels: ChannelSet, scenario: Scenario, p_tx: float | None = None) ->
         [channels.h_ris_ue * np.conj(channels.h_jam_ris), [np.conj(channels.h_jam_ue)]]
     )
     return LiftedProblem(
-        d_tx=HermitianMatrix(np.outer(w_tx, w_tx.conj())),
-        d_jam=HermitianMatrix(np.outer(w_jam, w_jam.conj())),
         w_tx=w_tx,
         w_jam=w_jam,
         p_tx=scenario.p_tx_max if p_tx is None else p_tx,
@@ -199,14 +188,11 @@ def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) ->
     the certified relaxation bound always dominates it.
     """
     fs = solve_fractional_sdp(
-        lifted.d_tx,
-        lifted.d_jam,
+        np.outer(lifted.w_tx, lifted.w_tx.conj()),
+        np.outer(lifted.w_jam, lifted.w_jam.conj()),
         lifted.p_tx,
         lifted.p_jam,
         lifted.noise_power,
-        tol=settings.dinkelbach_tol,
-        inner_tol=settings.inner_tol,
-        max_steps=settings.max_dinkelbach_steps,
         inner_max_iters=settings.inner_max_iters,
     )
     best_vec, best_score = extract_rank_one(fs.v_opt, settings.n_draws, seed, lifted.sjnr_of)

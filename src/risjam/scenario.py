@@ -197,39 +197,54 @@ def scenario_from_config(config: dict) -> Scenario:
     cfg = dict(DEFAULT_CONFIG)
     cfg.update(config)
 
+    def num(key, value):
+        try:
+            return float(value)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+
+    def db(key):
+        try:
+            return db_to_linear(num(key, cfg[key]))
+        except OverflowError as exc:
+            raise ValidationError(f"{key} is out of range, got {cfg[key]!r}") from exc
+
     def pos(key):
         v = cfg[key]
         if not (isinstance(v, (list, tuple)) and len(v) == 3):
             raise ValidationError(f"{key} must be a 3-element [x, y, z] list, got {v!r}")
-        return Position3D(float(v[0]), float(v[1]), float(v[2]))
+        return Position3D(*(num(key, c) for c in v))
 
+    wavelength = num("wavelength_m", cfg["wavelength_m"])
     spacing = cfg["element_spacing_m"]
-    if spacing is None:
-        spacing = float(cfg["wavelength_m"]) / 2.0
+    spacing = wavelength / 2.0 if spacing is None else num("element_spacing_m", spacing)
     try:
         k_rows, k_cols = int(cfg["k_rows"]), int(cfg["k_cols"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"k_rows/k_cols must be integers: {exc}") from exc
+    if not isinstance(cfg["ris_enabled"], bool):
+        raise ValidationError(f"ris_enabled must be true or false, got {cfg['ris_enabled']!r}")
+    noise_keys = ("bandwidth_hz", "noise_density_dbm_hz", "noise_figure_db")
+    try:
+        noise_power = noise_power_from(*(num(key, cfg[key]) for key in noise_keys))
+    except OverflowError as exc:
+        raise ValidationError(f"{'/'.join(noise_keys)} are out of range") from exc
     return Scenario(
         pos_tx=pos("pos_tx_m"),
         pos_jam=pos("pos_jam_m"),
         pos_ris=pos("pos_ris_m"),
         pos_ue=pos("pos_ue_m"),
-        p_tx_max=db_to_linear(float(cfg["p_tx_dbw"])),
-        p_jam=db_to_linear(float(cfg["p_jam_dbw"])),
-        noise_power=noise_power_from(
-            float(cfg["bandwidth_hz"]),
-            float(cfg["noise_density_dbm_hz"]),
-            float(cfg["noise_figure_db"]),
-        ),
+        p_tx_max=db("p_tx_dbw"),
+        p_jam=db("p_jam_dbw"),
+        noise_power=noise_power,
         k_rows=k_rows,
         k_cols=k_cols,
-        wavelength=float(cfg["wavelength_m"]),
-        element_spacing=float(spacing),
-        rho=db_to_linear(float(cfg["rho_db"])),
-        alpha_direct=float(cfg["alpha_direct"]),
-        alpha_ris=float(cfg["alpha_ris"]),
-        ris_enabled=bool(cfg["ris_enabled"]),
+        wavelength=wavelength,
+        element_spacing=spacing,
+        rho=db("rho_db"),
+        alpha_direct=num("alpha_direct", cfg["alpha_direct"]),
+        alpha_ris=num("alpha_ris", cfg["alpha_ris"]),
+        ris_enabled=cfg["ris_enabled"],
     )
 
 

@@ -29,6 +29,11 @@ from .scenario import ValidationError
 
 # Allowance for eigensolver backward error when certifying dual feasibility.
 _EIG_SAFETY = 1e-12
+# ADMM iterations between certificate checks.
+_CHECK_EVERY = 25
+# Starting inner-SDP tolerance and step cap of the Dinkelbach iteration.
+_INNER_TOL = 1e-7
+_MAX_STEPS = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,15 +129,13 @@ def solve_unit_diag_sdp(
     c,
     tol: float = 1e-7,
     max_iters: int = 20000,
-    warm_state: dict | None = None,
-    state_out: dict | None = None,
-    trace_fn=None,
-    check_every: int = 25,
+    state: dict | None = None,
 ) -> SdpSolution:
     """Maximize tr(c X) s.t. diag(X) = 1, X PSD, with a certified gap.
 
-    Stops when upper - lower <= tol*(1 + |lower|). warm_state/state_out
-    carry the splitting state (z, u, rho) across related solves.
+    Stops when upper - lower <= tol*(1 + |lower|). state carries the
+    splitting state (z, u, rho) across related solves: a non-empty dict
+    warm-starts the solve, and any dict is updated with the final state.
     """
     c = _as_hermitian(c)
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -143,10 +146,10 @@ def solve_unit_diag_sdp(
     n = c.order
     norm_c = float(np.linalg.norm(cm))
 
-    if warm_state:
-        z = np.array(warm_state["z"], dtype=complex)
-        u = np.array(warm_state["u"], dtype=complex)
-        rho = float(warm_state["rho"])
+    if state:
+        z = np.array(state["z"], dtype=complex)
+        u = np.array(state["u"], dtype=complex)
+        rho = float(state["rho"])
     else:
         z = np.eye(n, dtype=complex)
         u = np.zeros((n, n), dtype=complex)
@@ -159,18 +162,15 @@ def solve_unit_diag_sdp(
     converged = False
     iterations = 0
 
-    def certify(iteration: int) -> bool:
+    def certify() -> bool:
         nonlocal best_lb, best_ub, best_x
         lb, x_hat = _feasible_primal(cm, z)
         if lb > best_lb:
             best_lb, best_x = lb, x_hat
         best_ub = min(best_ub, _feasible_dual_bound(cm, rho, u))
-        gap = max(0.0, best_ub - best_lb)
-        if trace_fn is not None:
-            trace_fn({"iteration": iteration, "objective": best_lb, "gap": gap})
-        return gap <= tol * (1.0 + abs(best_lb))
+        return max(0.0, best_ub - best_lb) <= tol * (1.0 + abs(best_lb))
 
-    converged = certify(0)
+    converged = certify()
     if not converged:
         for it in range(1, max_iters + 1):
             iterations = it
@@ -191,17 +191,17 @@ def solve_unit_diag_sdp(
                     rho /= 2.0
                     u = u * 2.0
             z = z_new
-            if it % check_every == 0 and certify(it):
+            if it % _CHECK_EVERY == 0 and certify():
                 converged = True
                 break
         else:
-            converged = certify(iterations) if max_iters > 0 else converged
+            converged = certify() if max_iters > 0 else converged
 
     if best_x is None:  # pragma: no cover - certify always runs at least once
         _, best_x = _feasible_primal(cm, z)
         best_lb = _real_trace_product(cm, best_x)
-    if state_out is not None:
-        state_out.update({"z": z, "u": u, "rho": rho})
+    if state is not None:
+        state.update({"z": z, "u": u, "rho": rho})
     return SdpSolution(
         x_opt=HermitianMatrix(best_x),
         objective=best_lb,
@@ -242,20 +242,17 @@ def solve_fractional_sdp(
     den_scale: float,
     den_offset: float,
     tol: float = 1e-6,
-    inner_tol: float = 1e-7,
-    max_steps: int = 50,
     inner_max_iters: int = 20000,
-    trace_fn=None,
 ) -> FractionalSolution:
     """Maximize (num_scale*tr(num V)) / (den_scale*tr(den V) + den_offset).
 
     Feasible set: V Hermitian PSD with unit diagonal. Dinkelbach iteration
     with incumbent retention, so the lambda trace is nondecreasing. Stops
     once the certified gap on the ratio, ratio_upper_bound - ratio_opt,
-    falls below tol*(1 + |ratio_opt|). The problem is internally normalized
-    so that num_scale*tr(num) + den_scale*tr(den) + den_offset = 1, making
-    tolerances meaningful for arbitrarily scaled physical inputs (the ratio
-    is unchanged).
+    falls below tol*(1 + |ratio_opt|), or after _MAX_STEPS steps. The
+    problem is internally normalized so that num_scale*tr(num) +
+    den_scale*tr(den) + den_offset = 1, making tolerances meaningful for
+    arbitrarily scaled physical inputs (the ratio is unchanged).
     """
     num = _as_hermitian(num)
     den = _as_hermitian(den)
@@ -309,18 +306,11 @@ def solve_fractional_sdp(
     state["rho"] = max(float(np.linalg.norm(a - lam * b)) / n, 1e-12)
     inner_solves = 0
     converged = False
-    inner_tol_eff = inner_tol
+    inner_tol = _INNER_TOL
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         c_lam = HermitianMatrix(a - lam * b)
-        sol = solve_unit_diag_sdp(
-            c_lam,
-            tol=inner_tol_eff,
-            max_iters=inner_max_iters,
-            warm_state=state,
-            state_out=state,
-            trace_fn=trace_fn,
-        )
+        sol = solve_unit_diag_sdp(c_lam, tol=inner_tol, max_iters=inner_max_iters, state=state)
         inner_solves += 1
         v = sol.x_opt.entries
         f, g = ratio_parts(v)
@@ -340,7 +330,7 @@ def solve_fractional_sdp(
         # tolerance, so when the inner certificate dominates the residual
         # the outer gap can only shrink by tightening that tolerance.
         if sol.duality_gap_estimate > 0.5 * max(phi_ub, 0.0):
-            inner_tol_eff = max(0.1 * inner_tol_eff, 1e-13)
+            inner_tol = max(0.1 * inner_tol, 1e-13)
 
     ratio_upper = max(ratio_upper, best_ratio)
     return FractionalSolution(

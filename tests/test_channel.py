@@ -11,16 +11,18 @@ from risjam import (
     PhaseConfig,
     Position3D,
     ValidationError,
-    aoa_angles,
     build_channel_set,
-    cascade_channel,
     default_scenario,
-    direct_channel,
     identity_phases,
+)
+from risjam.channel import (
+    TWO_PI,
+    cascade_channel,
+    direct_channel,
     ris_link_channel,
     steering_vector,
 )
-from risjam.channel import TWO_PI
+from risjam.scenario import aoa_angles
 
 from conftest import make_random_scenario
 

@@ -92,6 +92,33 @@ class TestEval:
         code, _, err = run_cli(capsys, ["eval", "--config", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"p_tx_dbw": "abc"}, "p_tx_dbw"),
+            ({"p_tx_dbw": None}, "p_tx_dbw"),
+            ({"p_tx_dbw": 4000}, "p_tx_dbw"),
+            ({"pos_tx_m": ["a", 0, 0]}, "pos_tx_m"),
+            ({"ris_enabled": "no"}, "ris_enabled"),
+        ],
+    )
+    def test_bad_config_value_exits_2(self, capsys, tmp_path, config, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, ["eval", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and key in err
+
+    def test_non_numeric_phases_exit_2(self, capsys, config_path, tmp_path):
+        ppath = tmp_path / "phases.json"
+        ppath.write_text(json.dumps(["a"]))
+        code, _, err = run_cli(
+            capsys, ["eval", "--config", config_path, "--phases", str(ppath)]
+        )
+        assert code == 2
+        assert err.startswith("error:") and "phases" in err
+
     def test_wrong_phase_count_exits_2(self, capsys, config_path, tmp_path):
         ppath = tmp_path / "phases.json"
         ppath.write_text(json.dumps([0.0, 0.0]))
@@ -121,6 +148,10 @@ class TestOptimize:
         assert len(payload["phases_rad"]) == 4
         assert payload["sjnr_linear"] <= payload["sdp_bound_linear"] * (1 + 1e-9)
         assert "sjnr_trace" not in payload
+
+    def test_settings_keys(self, capsys, config_path):
+        _, out, _ = run_cli(capsys, ["optimize", "--config", config_path])
+        assert set(json.loads(out)["settings"]) == {"n_draws", "inner_max_iters"}
 
     def test_byte_identical_reruns(self, capsys, config_path):
         _, out_a, _ = run_cli(capsys, ["optimize", "--config", config_path, "--seed", "7"])

@@ -1,6 +1,7 @@
 """Baselines, exhaustive oracle, sweep orchestration, and CSV output."""
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from risjam.channel import TWO_PI
 from conftest import make_random_scenario
 
 FAST = OptimizerSettings(n_draws=30)
+# fig4 at seed 0 with default settings, as format_csv_rows renders it.
+FIG4_SEED0 = Path(__file__).parent / "data" / "fig4_seed0.csv"
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -231,3 +234,7 @@ class TestCsv:
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, str(path))
         assert path.read_bytes() == format_csv_rows(rows).encode()
+
+    def test_fig4_seed0_matches_committed_csv(self):
+        text = format_csv_rows(run_sweep(fig4_spec(seed=0)))
+        assert text.encode() == FIG4_SEED0.read_bytes()

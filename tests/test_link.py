@@ -8,8 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from risjam import (
-    ChannelSet,
-    EffectiveGains,
     PhaseConfig,
     SjnrReport,
     ValidationError,
@@ -20,7 +18,8 @@ from risjam import (
     identity_phases,
     sjnr,
 )
-from risjam.channel import TWO_PI
+from risjam.channel import TWO_PI, ChannelSet
+from risjam.link import EffectiveGains
 
 from conftest import make_random_scenario
 

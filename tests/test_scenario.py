@@ -12,15 +12,14 @@ from risjam import (
     Position3D,
     Scenario,
     ValidationError,
-    aoa_angles,
     db_to_linear,
     default_scenario,
-    distance,
     linear_to_db,
     load_config,
     noise_power_from,
     scenario_from_config,
 )
+from risjam.scenario import aoa_angles, distance
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -193,6 +192,18 @@ class TestConfig:
         path.write_text("[1, 2]")
         with pytest.raises(ValidationError):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"noise_figure_db": 4000}, "noise_figure_db"),
+            ({"k_rows": math.inf}, "k_rows"),
+            ({"ris_enabled": 1}, "ris_enabled"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, config, key):
+        with pytest.raises(ValidationError, match=key):
+            scenario_from_config(config)
 
     def test_default_config_is_complete(self):
         # every key the parser reads is present with a serializable value

@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risjam import (
-    FractionalSolution,
-    HermitianMatrix,
-    SdpSolution,
-    ValidationError,
-    extract_rank_one,
-    solve_fractional_sdp,
-    solve_unit_diag_sdp,
-)
-from risjam.sdp_core import aligned_rank_one
+from risjam import ValidationError, extract_rank_one, solve_fractional_sdp, solve_unit_diag_sdp
+from risjam.sdp_core import FractionalSolution, HermitianMatrix, SdpSolution, aligned_rank_one
 
 
 def random_hermitian(n, seed):
@@ -116,15 +108,10 @@ class TestUnitDiagSdp:
     def test_warm_start_helps(self):
         c = random_hermitian(12, 6)
         state: dict = {}
-        cold = solve_unit_diag_sdp(c, tol=1e-8, state_out=state)
-        warm = solve_unit_diag_sdp(c, tol=1e-8, warm_state=state)
+        cold = solve_unit_diag_sdp(c, tol=1e-8, state=state)
+        warm = solve_unit_diag_sdp(c, tol=1e-8, state=state)
         assert warm.iterations <= cold.iterations
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
-
-    def test_trace_hook_called(self):
-        seen = []
-        solve_unit_diag_sdp(random_hermitian(6, 7), tol=1e-8, trace_fn=seen.append)
-        assert seen
 
     def test_bad_tol_rejected(self):
         with pytest.raises(ValidationError):
