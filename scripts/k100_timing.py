@@ -28,7 +28,6 @@ def main(argv=None) -> int:
         "best_seconds": round(min(timings), 3),
         "sjnr_db": result.final_report.sjnr_db,
         "sdp_bound_linear": result.sdp_bound,
-        "outer_iterations": result.outer_iterations,
         "converged": result.converged,
     }, indent=2))
     return 0

@@ -10,8 +10,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .channel import PhaseConfig, build_channel_set
 from .harness import (
     fig2_spec,
@@ -23,7 +21,7 @@ from .harness import (
 )
 from .link import evaluate
 from .optimizer import OptimizerSettings, optimize
-from .scenario import ValidationError, load_config
+from .scenario import ValidationError, _number, load_config
 
 _FIG_SPECS = {"fig2": fig2_spec, "fig3": fig3_spec, "fig4": fig4_spec}
 
@@ -41,11 +39,7 @@ def _load_phases(path: str) -> PhaseConfig:
             "phases file must be a JSON list of radians or an object with "
             "a phases_rad/thetas_rad list"
         )
-    try:
-        thetas = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"phases in {path} must be numbers in radians: {exc}") from exc
-    return PhaseConfig(thetas)
+    return PhaseConfig([_number(f"phases[{i}] in {path}", t) for i, t in enumerate(data)])
 
 
 def _cmd_eval(args) -> int:

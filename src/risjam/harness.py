@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import TWO_PI, PhaseConfig, build_channel_set
 from .link import SjnrReport, evaluate
-from .optimizer import OptimizerSettings, OptResult, optimize
+from .optimizer import OptimizerSettings, OptResult, lift, optimize
 from .scenario import Position3D, Scenario, ValidationError, default_scenario
 
 SWEEP_VARIABLES = ("leo_distance", "ris_distance", "num_elements")
@@ -92,13 +92,9 @@ class SweepRow:
 
 def _block_sjnr(scenario: Scenario, phasors: np.ndarray) -> tuple:
     """Linear SJNR at the power cap, and the jammer gain, per row of phasors."""
-    channels = build_channel_set(scenario)
-    terms_tx = np.conj(channels.h_ris_ue) * channels.h_tx_ris
-    terms_jam = np.conj(channels.h_ris_ue) * channels.h_jam_ris
-    gamma = np.abs(channels.h_tx_ue + phasors @ terms_tx) ** 2
-    delta = np.abs(channels.h_jam_ue + phasors @ terms_jam) ** 2
-    lin = scenario.p_tx_max * gamma / (scenario.p_jam * delta + scenario.noise_power)
-    return lin, delta
+    lifted = lift(build_channel_set(scenario), scenario)
+    block = np.vstack([phasors.T, np.ones(len(phasors), dtype=complex)])
+    return lifted.sjnr_of(block), np.abs(lifted.w_jam.conj() @ block) ** 2
 
 
 def baseline_identity(scenario: Scenario) -> SjnrReport:

@@ -6,8 +6,10 @@ unit-modulus phase vector (with a trailing homogenization slot fixed to 1)
 so both total path gains become rank-one quadratic forms, relaxes to a
 unit-diagonal PSD program, solves the fractional SDP by Dinkelbach
 iteration, and recovers feasible phases by scored rank-one extraction.
-The phase maximizer does not depend on the power, so one power step and
-one phase solve reach the fixed point of alternating optimization.
+The identity phases and the transmitter-aligned phases are scored once,
+seed the solver, and stay in the candidate pool. The phase maximizer does
+not depend on the power, so one power step and one phase solve reach the
+fixed point of alternating optimization.
 """
 from __future__ import annotations
 
@@ -94,16 +96,16 @@ class PhaseSolveResult:
     sjnr_linear: float
     sdp_bound: float
     converged: bool
-    inner_solves: int
-    lambda_trace: tuple
 
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
     """Joint power/phase outcome for one scenario and seed.
 
-    sjnr_trace is (identity-phase start, kept result), so it is
-    nondecreasing; converged is the phase solve's certificate flag.
+    sjnr_trace is (identity-phase report, report of the phase solve's
+    pick). The identity phases are in that solve's candidate pool, so the
+    trace is nondecreasing up to the rounding between the lifted and the
+    link-path evaluation. converged is the phase solve's certificate flag.
     """
 
     phases: PhaseConfig
@@ -181,37 +183,40 @@ def optimize_power(gains, p_max: float) -> float:
 def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) -> PhaseSolveResult:
     """Solve the phase subproblem: fractional SDR plus scored extraction.
 
-    The extraction pool is the eigen/Gaussian candidates of the relaxed
-    solution plus the phase projection of the transmitter factor w_tx, its
-    coherent alignment (exact in the no-jamming limit). Candidates are
-    scored by their true SJNR, so the returned value is always feasible and
-    the certified relaxation bound always dominates it.
+    Two anchors are scored first by their true SJNR: the identity phases
+    and the phase projection of the transmitter factor w_tx, its coherent
+    alignment (exact in the no-jamming limit). The better one, identity on
+    a tie, starts the fractional solver, and an extracted candidate
+    replaces it only if it scores strictly higher. So the returned value
+    is always feasible, never below either anchor, and under the certified
+    relaxation bound.
     """
+    anchors = np.column_stack([np.ones(lifted.order, dtype=complex), _phase_project(lifted.w_tx)])
+    scores = lifted.sjnr_of(anchors)
+    pick = int(np.argmax(scores))
+    best_vec, best_score = anchors[:, pick], float(scores[pick])
     fs = solve_fractional_sdp(
-        np.outer(lifted.w_tx, lifted.w_tx.conj()),
-        np.outer(lifted.w_jam, lifted.w_jam.conj()),
+        lifted.w_tx,
+        lifted.w_jam,
         lifted.p_tx,
         lifted.p_jam,
         lifted.noise_power,
+        best_vec,
         inner_max_iters=settings.inner_max_iters,
     )
-    best_vec, best_score = extract_rank_one(fs.v_opt, settings.n_draws, seed, lifted.sjnr_of)
-    aligned = _phase_project(lifted.w_tx)
-    aligned_score = lifted.sjnr_of(aligned)
-    if aligned_score > best_score:
-        best_vec, best_score = aligned, aligned_score
+    vec, score = extract_rank_one(fs.v_opt, settings.n_draws, seed, lifted.sjnr_of)
+    if score > best_score:
+        best_vec, best_score = vec, score
     return PhaseSolveResult(
         phases=PhaseConfig(np.angle(best_vec[:-1])),
         sjnr_linear=best_score,
         sdp_bound=max(fs.ratio_upper_bound, best_score),
         converged=fs.converged,
-        inner_solves=fs.inner_solves,
-        lambda_trace=fs.lambda_trace,
     )
 
 
 def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed: int = 0) -> OptResult:
-    """Power at the cap, one phase solve, and the better of it and identity.
+    """Power at the cap and one phase solve, reported against identity.
 
     This is alternating optimization run to its fixed point: for fixed
     phases the SJNR p*F(u) / (p_jam*G(u) + N) increases in p, so the power
@@ -221,20 +226,15 @@ def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed
     """
     settings = settings or OptimizerSettings()
     channels = build_channel_set(scenario)
-    identity = identity_phases(scenario.num_elements)
-    gains = effective_gains(channels, identity)
+    gains = effective_gains(channels, identity_phases(scenario.num_elements))
     p_tx = optimize_power(gains, scenario.p_tx_max)
     start = sjnr(gains, p_tx, scenario.p_jam, scenario.noise_power)
     ps = optimize_phases(lift(channels, scenario, p_tx=p_tx), settings, seed)
-    candidate = sjnr(
+    best = sjnr(
         effective_gains(channels, ps.phases), p_tx, scenario.p_jam, scenario.noise_power
     )
-    if candidate.sjnr_linear > start.sjnr_linear:
-        phases, best = ps.phases, candidate
-    else:
-        phases, best = identity, start
     return OptResult(
-        phases=phases,
+        phases=ps.phases,
         p_tx=p_tx,
         sjnr_trace=(start, best),
         sdp_bound=max(ps.sdp_bound, best.sjnr_linear),

@@ -7,11 +7,22 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 
 class ValidationError(ValueError):
     """Raised for invalid scenario parameters, geometry, or config files."""
+
+
+def _number(key: str, value) -> float:
+    """A JSON number as a float; booleans, strings and null are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{key} is out of range, got {value!r}") from exc
 
 
 def db_to_linear(x_db: float) -> float:
@@ -197,15 +208,12 @@ def scenario_from_config(config: dict) -> Scenario:
     cfg = dict(DEFAULT_CONFIG)
     cfg.update(config)
 
-    def num(key, value):
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+    def num(key):
+        return _number(key, cfg[key])
 
     def db(key):
         try:
-            return db_to_linear(num(key, cfg[key]))
+            return db_to_linear(num(key))
         except OverflowError as exc:
             raise ValidationError(f"{key} is out of range, got {cfg[key]!r}") from exc
 
@@ -213,20 +221,21 @@ def scenario_from_config(config: dict) -> Scenario:
         v = cfg[key]
         if not (isinstance(v, (list, tuple)) and len(v) == 3):
             raise ValidationError(f"{key} must be a 3-element [x, y, z] list, got {v!r}")
-        return Position3D(*(num(key, c) for c in v))
+        return Position3D(*(_number(key, c) for c in v))
 
-    wavelength = num("wavelength_m", cfg["wavelength_m"])
-    spacing = cfg["element_spacing_m"]
-    spacing = wavelength / 2.0 if spacing is None else num("element_spacing_m", spacing)
-    try:
-        k_rows, k_cols = int(cfg["k_rows"]), int(cfg["k_cols"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"k_rows/k_cols must be integers: {exc}") from exc
+    def count(key):
+        v = num(key)
+        if not v.is_integer():
+            raise ValidationError(f"{key} must be a whole number, got {cfg[key]!r}")
+        return int(v)
+
+    wavelength = num("wavelength_m")
+    spacing = wavelength / 2.0 if cfg["element_spacing_m"] is None else num("element_spacing_m")
     if not isinstance(cfg["ris_enabled"], bool):
         raise ValidationError(f"ris_enabled must be true or false, got {cfg['ris_enabled']!r}")
     noise_keys = ("bandwidth_hz", "noise_density_dbm_hz", "noise_figure_db")
     try:
-        noise_power = noise_power_from(*(num(key, cfg[key]) for key in noise_keys))
+        noise_power = noise_power_from(*(num(key) for key in noise_keys))
     except OverflowError as exc:
         raise ValidationError(f"{'/'.join(noise_keys)} are out of range") from exc
     return Scenario(
@@ -237,13 +246,13 @@ def scenario_from_config(config: dict) -> Scenario:
         p_tx_max=db("p_tx_dbw"),
         p_jam=db("p_jam_dbw"),
         noise_power=noise_power,
-        k_rows=k_rows,
-        k_cols=k_cols,
+        k_rows=count("k_rows"),
+        k_cols=count("k_cols"),
         wavelength=wavelength,
         element_spacing=spacing,
         rho=db("rho_db"),
-        alpha_direct=num("alpha_direct", cfg["alpha_direct"]),
-        alpha_ris=num("alpha_ris", cfg["alpha_ris"]),
+        alpha_direct=num("alpha_direct"),
+        alpha_ris=num("alpha_ris"),
         ris_enabled=cfg["ris_enabled"],
     )
 

@@ -14,8 +14,10 @@ valid at any iterate:
                the ADMM stationarity condition y = diag(C) - rho*diag(U).
 
 solve_fractional_sdp maximizes (ns*tr(N V)) / (ds*tr(D V) + off) over the
-same feasible set by Dinkelbach iteration, each step solving the inner SDP
-with C = ns*N - lambda*ds*D and warm-starting from the previous state. The
+same feasible set, for rank-one N = w_num w_num^H and D = w_den w_den^H given
+by their factors. It runs Dinkelbach iteration from a caller-supplied
+feasible rank-one start, each step solving the inner SDP with
+C = ns*N - lambda*ds*D and warm-starting from the previous state. The
 certified inner bounds give a certified upper bound on the ratio.
 """
 from __future__ import annotations
@@ -211,13 +213,6 @@ def solve_unit_diag_sdp(
     )
 
 
-def _check_psd(name: str, m: HermitianMatrix) -> None:
-    scale = max(1.0, float(np.linalg.norm(m.entries)))
-    lam_min = float(np.linalg.eigvalsh(m.entries)[0])
-    if lam_min < -1e-8 * scale:
-        raise ValidationError(f"{name} must be PSD; min eigenvalue {lam_min:.3e}")
-
-
 def _phase_project(x: np.ndarray) -> np.ndarray:
     """Unit-modulus projection with the last (homogenization) entry pinned to 1."""
     mag = np.abs(x)
@@ -229,35 +224,39 @@ def _phase_project(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def aligned_rank_one(m: HermitianMatrix) -> np.ndarray:
-    """Phase-projected leading eigenvector; a feasible rank-one lifting point."""
-    _, q = np.linalg.eigh(m.entries)
-    return _phase_project(q[:, -1])
-
-
 def solve_fractional_sdp(
-    num,
-    den,
+    w_num,
+    w_den,
     num_scale: float,
     den_scale: float,
     den_offset: float,
+    start,
     tol: float = 1e-6,
     inner_max_iters: int = 20000,
 ) -> FractionalSolution:
-    """Maximize (num_scale*tr(num V)) / (den_scale*tr(den V) + den_offset).
+    """Maximize (num_scale*tr(N V)) / (den_scale*tr(D V) + den_offset).
 
-    Feasible set: V Hermitian PSD with unit diagonal. Dinkelbach iteration
-    with incumbent retention, so the lambda trace is nondecreasing. Stops
-    once the certified gap on the ratio, ratio_upper_bound - ratio_opt,
-    falls below tol*(1 + |ratio_opt|), or after _MAX_STEPS steps. The
-    problem is internally normalized so that num_scale*tr(num) +
-    den_scale*tr(den) + den_offset = 1, making tolerances meaningful for
-    arbitrarily scaled physical inputs (the ratio is unchanged).
+    N = w_num w_num^H and D = w_den w_den^H are given by their rank-one
+    factors. Feasible set: V Hermitian PSD with unit diagonal. start is a
+    unit-modulus vector; its lifting start start^H seeds the incumbent, the
+    first lambda and the splitting state. Dinkelbach iteration with
+    incumbent retention, so the lambda trace is nondecreasing. Stops once
+    the certified gap on the ratio, ratio_upper_bound - ratio_opt, falls
+    below tol*(1 + |ratio_opt|), or after _MAX_STEPS steps. The problem is
+    internally normalized so that num_scale*tr(N) + den_scale*tr(D) +
+    den_offset = 1, making tolerances meaningful for arbitrarily scaled
+    physical inputs (the ratio is unchanged).
     """
-    num = _as_hermitian(num)
-    den = _as_hermitian(den)
-    if num.order != den.order:
-        raise ValidationError(f"order mismatch: {num.order} vs {den.order}")
+    w_num, w_den, start = (np.asarray(x, dtype=complex) for x in (w_num, w_den, start))
+    if w_num.ndim != 1 or w_num.size < 1 or not w_num.shape == w_den.shape == start.shape:
+        raise ValidationError(
+            "w_num, w_den and start must be nonempty 1-D arrays of one length, got "
+            f"shapes {w_num.shape}, {w_den.shape}, {start.shape}"
+        )
+    if not all(np.all(np.isfinite(x)) for x in (w_num, w_den, start)):
+        raise ValidationError("w_num, w_den and start must be finite")
+    if np.any(np.abs(np.abs(start) - 1.0) > 1e-9):
+        raise ValidationError("start must have unit-modulus entries")
     for name, v in (("num_scale", num_scale), ("den_scale", den_scale)):
         if not (math.isfinite(v) and v >= 0.0):
             raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
@@ -265,17 +264,17 @@ def solve_fractional_sdp(
         raise ValidationError(f"den_offset must be > 0, got {den_offset!r}")
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValidationError(f"tol must be positive, got {tol!r}")
-    _check_psd("num", num)
-    _check_psd("den", den)
 
-    n = num.order
+    n = w_num.size
+    num = _hermitize(np.outer(w_num, w_num.conj()))
+    den = _hermitize(np.outer(w_den, w_den.conj()))
     scale = (
-        num_scale * float(np.real(np.trace(num.entries)))
-        + den_scale * float(np.real(np.trace(den.entries)))
+        num_scale * float(np.real(np.trace(num)))
+        + den_scale * float(np.real(np.trace(den)))
         + den_offset
     )
-    a = (num_scale / scale) * num.entries
-    b = (den_scale / scale) * den.entries
+    a = (num_scale / scale) * num
+    b = (den_scale / scale) * den
     off = den_offset / scale
 
     def ratio_parts(v: np.ndarray) -> tuple:
@@ -287,19 +286,9 @@ def solve_fractional_sdp(
             )
         return max(f, 0.0), g
 
-    # Feasible starting point: the better of the numerator-aligned rank-one
-    # lifting and the all-ones vector.
-    candidates = [np.ones(n, dtype=complex), aligned_rank_one(num)]
-    best_v = None
-    best_ratio = -math.inf
-    for ups in candidates:
-        v = np.outer(ups, ups.conj())
-        f, g = ratio_parts(v)
-        if f / g > best_ratio:
-            best_ratio = f / g
-            best_v = v
-
-    lam = best_ratio
+    best_v = np.outer(start, start.conj())
+    f, g = ratio_parts(best_v)
+    best_ratio = lam = f / g
     lambda_trace = [lam]
     ratio_upper = math.inf
     state: dict = {"z": best_v, "u": np.zeros((n, n), dtype=complex), "rho": None}

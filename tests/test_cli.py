@@ -100,6 +100,11 @@ class TestEval:
             ({"p_tx_dbw": 4000}, "p_tx_dbw"),
             ({"pos_tx_m": ["a", 0, 0]}, "pos_tx_m"),
             ({"ris_enabled": "no"}, "ris_enabled"),
+            ({"k_rows": 3.7}, "k_rows"),
+            ({"k_rows": True}, "k_rows"),
+            ({"p_tx_dbw": True}, "p_tx_dbw"),
+            ({"p_tx_dbw": "20"}, "p_tx_dbw"),
+            ({"pos_tx_m": ["0", 0, 5e5]}, "pos_tx_m"),
         ],
     )
     def test_bad_config_value_exits_2(self, capsys, tmp_path, config, key):
@@ -112,12 +117,14 @@ class TestEval:
 
     def test_non_numeric_phases_exit_2(self, capsys, config_path, tmp_path):
         ppath = tmp_path / "phases.json"
-        ppath.write_text(json.dumps(["a"]))
-        code, _, err = run_cli(
-            capsys, ["eval", "--config", config_path, "--phases", str(ppath)]
-        )
-        assert code == 2
-        assert err.startswith("error:") and "phases" in err
+        for phases in (["a"], [0.0, 0.0, 0.0, True], [0.0, 0.0, 0.0, "1.5"], [0.0, None, 0.0, 0.0]):
+            ppath.write_text(json.dumps(phases))
+            code, out, err = run_cli(
+                capsys, ["eval", "--config", config_path, "--phases", str(ppath)]
+            )
+            assert code == 2, phases
+            assert out == ""
+            assert err.startswith("error:") and "phases" in err
 
     def test_wrong_phase_count_exits_2(self, capsys, config_path, tmp_path):
         ppath = tmp_path / "phases.json"

@@ -142,11 +142,20 @@ class TestPhaseSubproblem:
         again = lifted.sjnr_of(candidate_from_phases(ps.phases))
         assert again == pytest.approx(ps.sjnr_linear, rel=1e-12)
 
-    def test_lambda_trace_nondecreasing(self):
-        sc = default_scenario(k_rows=2, k_cols=2)
-        ps = optimize_phases(lift(build_channel_set(sc), sc), FAST, seed=5)
-        t = ps.lambda_trace
-        assert all(b >= a - 1e-12 for a, b in zip(t, t[1:]))
+    def test_never_below_either_anchor(self):
+        # identity and the transmitter-aligned phases, also with a capped solve
+        capped = OptimizerSettings(n_draws=5, inner_max_iters=1)
+        rng = np.random.default_rng(47)
+        for i in range(8):
+            sc = make_random_scenario(rng, **({"p_jam": 0.0} if i % 2 else {}))
+            lifted = lift(build_channel_set(sc), sc)
+            ps = optimize_phases(lifted, FAST if i < 4 else capped, seed=i)
+            aligned = np.exp(1j * (np.angle(lifted.w_tx) - np.angle(lifted.w_tx[-1])))
+            aligned[-1] = 1.0
+            identity = np.ones(lifted.order, dtype=complex)
+            floor = max(lifted.sjnr_of(identity), lifted.sjnr_of(aligned))
+            assert ps.sjnr_linear >= floor * (1 - 1e-12)
+            assert ps.sjnr_linear <= ps.sdp_bound
 
 
 class TestAlternate:
@@ -178,6 +187,8 @@ class TestAlternate:
         assert res.final_report.sjnr_linear == pytest.approx(
             0.25225865249455076, rel=1e-12
         )
+        # every candidate ties, and identity wins ties
+        assert np.array_equal(res.phases.thetas, np.zeros(sc.num_elements))
 
     def test_seed_determinism(self):
         sc = default_scenario()

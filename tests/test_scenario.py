@@ -199,11 +199,23 @@ class TestConfig:
             ({"noise_figure_db": 4000}, "noise_figure_db"),
             ({"k_rows": math.inf}, "k_rows"),
             ({"ris_enabled": 1}, "ris_enabled"),
+            ({"k_rows": 3.7}, "k_rows"),
+            ({"k_cols": True}, "k_cols"),
+            ({"k_rows": "3"}, "k_rows"),
+            ({"p_tx_dbw": True}, "p_tx_dbw"),
+            ({"p_tx_dbw": "20"}, "p_tx_dbw"),
+            ({"pos_tx_m": ["0", 0, 5e5]}, "pos_tx_m"),
+            ({"element_spacing_m": False}, "element_spacing_m"),
         ],
     )
     def test_bad_value_names_its_key(self, config, key):
         with pytest.raises(ValidationError, match=key):
             scenario_from_config(config)
+
+    def test_integral_float_counts_accepted(self):
+        sc = scenario_from_config({"k_rows": 3.0, "k_cols": np.int64(2)})
+        assert (sc.k_rows, sc.k_cols) == (3, 2)
+        assert isinstance(sc.k_rows, int)
 
     def test_default_config_is_complete(self):
         # every key the parser reads is present with a serializable value

@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risjam import ValidationError, extract_rank_one, solve_fractional_sdp, solve_unit_diag_sdp
-from risjam.sdp_core import FractionalSolution, HermitianMatrix, SdpSolution, aligned_rank_one
+from risjam.sdp_core import FractionalSolution, HermitianMatrix, SdpSolution
 
 
 def random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (m + m.conj().T) / 2
+
+
+def random_vector(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def random_psd(n, seed):
@@ -128,34 +133,34 @@ class TestUnitDiagSdp:
 
 
 class TestFractionalSdp:
-    def test_constant_ratio_identity_over_identity(self):
-        # diag(V) = 1 forces tr(V) = n, so the ratio is n / (n + 1) everywhere
-        n = 2
-        eye = np.eye(n)
-        fs = solve_fractional_sdp(eye, eye, 1.0, 1.0, 1.0)
-        assert isinstance(fs, FractionalSolution)
-        assert fs.ratio_opt == pytest.approx(n / (n + 1.0), rel=1e-9)
-        assert fs.converged
-
     def test_zero_denominator_scale_matches_plain_solve(self):
-        c = random_psd(5, 21)
-        plain = solve_unit_diag_sdp(c, tol=1e-9)
-        fs = solve_fractional_sdp(c, np.zeros((5, 5)), 1.0, 0.0, 4.0, tol=1e-8)
+        # with D switched off the ratio is tr(a a^H V) / 4, whose optimum is (sum |a|)^2 / 4
+        a = random_vector(5, 21)
+        plain = solve_unit_diag_sdp(np.outer(a, a.conj()), tol=1e-9)
+        fs = solve_fractional_sdp(a, np.zeros(5), 1.0, 0.0, 4.0, np.ones(5), tol=1e-8)
+        assert isinstance(fs, FractionalSolution)
         assert fs.ratio_opt == pytest.approx(plain.objective / 4.0, rel=1e-6)
+        assert fs.ratio_opt == pytest.approx(float(np.sum(np.abs(a))) ** 2 / 4.0, rel=1e-6)
 
     def test_lambda_trace_nondecreasing(self):
-        fs = solve_fractional_sdp(random_psd(6, 31), random_psd(6, 32), 2.0, 0.5, 1.0)
+        fs = solve_fractional_sdp(
+            random_vector(6, 31), random_vector(6, 32), 2.0, 0.5, 1.0, np.ones(6)
+        )
         trace = fs.lambda_trace
+        assert len(trace) >= 2
         assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_upper_bound_dominates_ratio(self):
-        fs = solve_fractional_sdp(random_psd(4, 41), random_psd(4, 42), 1.0, 1.0, 0.3)
+        fs = solve_fractional_sdp(
+            random_vector(4, 41), random_vector(4, 42), 1.0, 1.0, 0.3, np.ones(4)
+        )
         assert fs.ratio_upper_bound >= fs.ratio_opt - 1e-12
 
     def test_two_by_two_against_dense_grid(self):
         # exhaustive over the full n = 2 feasible set (|z| <= 1 disc)
-        num, den = random_psd(2, 51), random_psd(2, 52)
-        fs = solve_fractional_sdp(num, den, 1.0, 1.0, 0.5, tol=1e-8)
+        a, b = random_vector(2, 51), random_vector(2, 52)
+        fs = solve_fractional_sdp(a, b, 1.0, 1.0, 0.5, np.ones(2), tol=1e-8)
+        num, den = np.outer(a, a.conj()), np.outer(b, b.conj())
         rs = np.linspace(0.0, 1.0, 101)
         phis = np.linspace(0.0, 2 * math.pi, 360, endpoint=False)
         grid = np.outer(rs, np.exp(1j * phis)).ravel()
@@ -167,28 +172,34 @@ class TestFractionalSdp:
         assert fs.ratio_opt <= fs.ratio_upper_bound * (1 + 1e-9)
 
     def test_scale_invariance(self):
-        num, den = random_psd(3, 61), random_psd(3, 62)
-        a = solve_fractional_sdp(num, den, 1.0, 1.0, 1.0)
-        b = solve_fractional_sdp(1e-12 * num, 1e-12 * den, 1.0, 1.0, 1e-12)
-        assert b.ratio_opt == pytest.approx(a.ratio_opt, rel=1e-6)
-
-    def test_rejects_nonpsd_inputs(self):
-        bad = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(ValidationError):
-            solve_fractional_sdp(bad, np.eye(2), 1.0, 1.0, 1.0)
-        with pytest.raises(ValidationError):
-            solve_fractional_sdp(np.eye(2), bad, 1.0, 1.0, 1.0)
+        a, b = random_vector(3, 61), random_vector(3, 62)
+        x = solve_fractional_sdp(a, b, 1.0, 1.0, 1.0, np.ones(3))
+        y = solve_fractional_sdp(1e-6 * a, 1e-6 * b, 1.0, 1.0, 1e-12, np.ones(3))
+        assert y.ratio_opt == pytest.approx(x.ratio_opt, rel=1e-6)
 
     def test_rejects_bad_offset_and_scales(self):
-        eye = np.eye(2)
+        one = np.ones(2)
         with pytest.raises(ValidationError):
-            solve_fractional_sdp(eye, eye, 1.0, 1.0, 0.0)
+            solve_fractional_sdp(one, one, 1.0, 1.0, 0.0, one)
         with pytest.raises(ValidationError):
-            solve_fractional_sdp(eye, eye, -1.0, 1.0, 1.0)
+            solve_fractional_sdp(one, one, -1.0, 1.0, 1.0, one)
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            solve_fractional_sdp(np.eye(2), np.eye(3), 1.0, 1.0, 1.0)
+            solve_fractional_sdp(np.ones(2), np.ones(3), 1.0, 1.0, 1.0, np.ones(2))
+        with pytest.raises(ValidationError):
+            solve_fractional_sdp(np.ones(3), np.ones(3), 1.0, 1.0, 1.0, np.ones(2))
+
+    def test_rejects_non_unit_modulus_start(self):
+        one = np.ones(3)
+        for start in ([1.0, 1.0, 0.0], [1.0, 1.5j, 1.0], [1.0, math.nan, 1.0]):
+            with pytest.raises(ValidationError):
+                solve_fractional_sdp(one, one, 1.0, 1.0, 1.0, np.array(start))
+
+    def test_rejects_nonfinite_factors(self):
+        one = np.ones(2)
+        with pytest.raises(ValidationError):
+            solve_fractional_sdp(np.array([1.0, math.inf]), one, 1.0, 1.0, 1.0, one)
 
 
 def reference_extract(v, n_draws, seed, score_one):
@@ -299,9 +310,3 @@ class TestExtraction:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValidationError):
             extract_rank_one(np.eye(2), 0, 0, lambda c: 0.0)
-
-    def test_aligned_rank_one_unit_modulus(self):
-        v = random_psd(4, 111)
-        u = aligned_rank_one(HermitianMatrix(v))
-        assert np.allclose(np.abs(u), 1.0, atol=1e-12)
-        assert u[-1] == 1.0 + 0.0j
