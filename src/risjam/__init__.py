@@ -14,7 +14,7 @@ from .scenario import (
 )
 from .channel import PhaseConfig, build_channel_set, identity_phases
 from .link import SjnrReport, effective_gains, evaluate, sjnr
-from .sdp_core import extract_rank_one, solve_fractional_sdp, solve_unit_diag_sdp
+from .sdp_core import solve_unit_diag_sdp
 from .optimizer import (
     OptimizerSettings,
     OptResult,
@@ -57,7 +57,6 @@ __all__ = [
     "default_scenario",
     "effective_gains",
     "evaluate",
-    "extract_rank_one",
     "fig2_spec",
     "fig3_spec",
     "fig4_spec",
@@ -74,7 +73,6 @@ __all__ = [
     "run_sweep",
     "scenario_from_config",
     "sjnr",
-    "solve_fractional_sdp",
     "solve_unit_diag_sdp",
     "write_sweep_csv",
     "__version__",

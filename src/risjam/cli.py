@@ -54,18 +54,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _settings_from_args(args) -> OptimizerSettings:
-    kwargs = {}
-    for name in ("n_draws", "inner_max_iters"):
-        value = getattr(args, name, None)
-        if value is not None:
-            kwargs[name] = value
-    return OptimizerSettings(**kwargs)
-
-
 def _cmd_optimize(args) -> int:
     scenario = load_config(args.config)
-    result = optimize(scenario, _settings_from_args(args), seed=args.seed)
+    result = optimize(scenario, OptimizerSettings(args.inner_max_iters), seed=args.seed)
     print(json.dumps(result.to_json_dict(include_trace=args.dump_trace), indent=2))
     return 0 if result.converged else 3
 
@@ -106,7 +97,7 @@ def _cmd_sweep(args) -> int:
             )
         overrides["grid"] = _parse_grid(args.grid)
     spec = dataclasses.replace(spec, **overrides)
-    rows = run_sweep(spec, settings=_settings_from_args(args), timing=args.timing)
+    rows = run_sweep(spec, OptimizerSettings(args.inner_max_iters), timing=args.timing)
     write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0 if all(row.converged for row in rows) else 3
@@ -137,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--dump-trace", action="store_true",
                        help="include the SJNR trace (identity start, result) in the JSON")
-    p_opt.add_argument("--n-draws", type=int, dest="n_draws")
-    p_opt.add_argument("--inner-max-iters", type=int, dest="inner_max_iters")
+    p_opt.add_argument("--inner-max-iters", type=int,
+                       default=OptimizerSettings.inner_max_iters)
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sweep = sub.add_parser("sweep", help="reproduce a figure sweep as CSV")
@@ -151,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", help="override grid, comma-separated values")
     p_sweep.add_argument("--ris-sizes", dest="ris_sizes",
                          help="override RIS sizes, e.g. 3x3,5x5")
-    p_sweep.add_argument("--n-draws", type=int, dest="n_draws")
-    p_sweep.add_argument("--inner-max-iters", type=int, dest="inner_max_iters")
+    p_sweep.add_argument("--inner-max-iters", type=int,
+                         default=OptimizerSettings.inner_max_iters)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive quantized-phase maximum")

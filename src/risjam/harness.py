@@ -37,7 +37,6 @@ class SweepSpec:
     ris_sizes: tuple
     base: Scenario
     seed: int = 0
-    n_random: int = 100
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -47,8 +46,6 @@ class SweepSpec:
         grid = tuple(float(v) for v in self.grid)
         if not grid:
             raise ValidationError("grid must be nonempty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValidationError("grid must be strictly increasing")
         sizes = tuple((int(r), int(c)) for r, c in self.ris_sizes)
         if not sizes:
             raise ValidationError("ris_sizes must be nonempty")
@@ -64,8 +61,13 @@ class SweepSpec:
                     raise ValidationError(
                         f"grid value {v} does not match RIS size {r}x{c}"
                     )
-        if self.n_random < 1:
-            raise ValidationError(f"n_random must be >= 1, got {self.n_random!r}")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            if self.variable == "num_elements":
+                counts = ", ".join(f"{r}x{c}={r * c}" for r, c in sizes)
+                raise ValidationError(
+                    f"RIS sizes must have strictly increasing element counts, got {counts}"
+                )
+            raise ValidationError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ris_sizes", sizes)
 
@@ -185,7 +187,7 @@ def run_sweep(
         ident = baseline_identity(scenario)
         t_ident = time.perf_counter() - t0
         t0 = time.perf_counter()
-        rand = baseline_random_mean(scenario, spec.n_random, seed=seed)
+        rand = baseline_random_mean(scenario, seed=seed)
         t_rand = time.perf_counter() - t0
         bound_db = (
             10.0 * math.log10(res.sdp_bound) if res.sdp_bound > 0.0 else -math.inf

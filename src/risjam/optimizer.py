@@ -23,6 +23,9 @@ from .link import SjnrReport, effective_gains, sjnr
 from .scenario import Scenario, ValidationError
 from .sdp_core import _phase_project, extract_rank_one, solve_fractional_sdp
 
+# Gaussian randomization draws of the rank-one extraction.
+_N_DRAWS = 200
+
 
 @dataclass(frozen=True, eq=False)
 class LiftedProblem:
@@ -74,15 +77,15 @@ class LiftedProblem:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs of the phase solve: extraction draws and the ADMM iteration cap."""
+    """The phase solve's budget: the iteration cap of each inner ADMM solve."""
 
-    n_draws: int = 200
     inner_max_iters: int = 20000
 
     def __post_init__(self):
-        for name in ("n_draws", "inner_max_iters"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.inner_max_iters < 1:
+            raise ValidationError(
+                f"inner_max_iters must be >= 1, got {self.inner_max_iters!r}"
+            )
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -204,7 +207,7 @@ def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) ->
         best_vec,
         inner_max_iters=settings.inner_max_iters,
     )
-    vec, score = extract_rank_one(fs.v_opt, settings.n_draws, seed, lifted.sjnr_of)
+    vec, score = extract_rank_one(fs.v_opt, _N_DRAWS, seed, lifted.sjnr_of)
     if score > best_score:
         best_vec, best_score = vec, score
     return PhaseSolveResult(

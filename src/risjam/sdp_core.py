@@ -83,7 +83,6 @@ class FractionalSolution:
     v_opt: HermitianMatrix
     ratio_opt: float
     ratio_upper_bound: float
-    lambda_trace: tuple
     inner_solves: int
     converged: bool
 
@@ -240,7 +239,7 @@ def solve_fractional_sdp(
     factors. Feasible set: V Hermitian PSD with unit diagonal. start is a
     unit-modulus vector; its lifting start start^H seeds the incumbent, the
     first lambda and the splitting state. Dinkelbach iteration with
-    incumbent retention, so the lambda trace is nondecreasing. Stops once
+    incumbent retention, so lambda never decreases. Stops once
     the certified gap on the ratio, ratio_upper_bound - ratio_opt, falls
     below tol*(1 + |ratio_opt|), or after _MAX_STEPS steps. The problem is
     internally normalized so that num_scale*tr(N) + den_scale*tr(D) +
@@ -289,7 +288,6 @@ def solve_fractional_sdp(
     best_v = np.outer(start, start.conj())
     f, g = ratio_parts(best_v)
     best_ratio = lam = f / g
-    lambda_trace = [lam]
     ratio_upper = math.inf
     state: dict = {"z": best_v, "u": np.zeros((n, n), dtype=complex), "rho": None}
     state["rho"] = max(float(np.linalg.norm(a - lam * b)) / n, 1e-12)
@@ -311,7 +309,6 @@ def solve_fractional_sdp(
         phi_ub = sol.objective + sol.duality_gap_estimate - lam * off
         ratio_upper = min(ratio_upper, lam + max(phi_ub, 0.0) / off)
         lam = best_ratio
-        lambda_trace.append(lam)
         if ratio_upper - best_ratio <= tol * (1.0 + abs(best_ratio)):
             converged = True
             break
@@ -326,7 +323,6 @@ def solve_fractional_sdp(
         v_opt=HermitianMatrix(best_v),
         ratio_opt=best_ratio,
         ratio_upper_bound=ratio_upper,
-        lambda_trace=tuple(lambda_trace),
         inner_solves=inner_solves,
         converged=converged,
     )

@@ -158,7 +158,7 @@ class TestOptimize:
 
     def test_settings_keys(self, capsys, config_path):
         _, out, _ = run_cli(capsys, ["optimize", "--config", config_path])
-        assert set(json.loads(out)["settings"]) == {"n_draws", "inner_max_iters"}
+        assert set(json.loads(out)["settings"]) == {"inner_max_iters"}
 
     def test_byte_identical_reruns(self, capsys, config_path):
         _, out_a, _ = run_cli(capsys, ["optimize", "--config", config_path, "--seed", "7"])
@@ -185,7 +185,7 @@ class TestOptimize:
 
     def test_bad_settings_exit_2(self, capsys, config_path):
         code, _, err = run_cli(
-            capsys, ["optimize", "--config", config_path, "--n-draws", "0"]
+            capsys, ["optimize", "--config", config_path, "--inner-max-iters", "0"]
         )
         assert code == 2
 
@@ -197,7 +197,7 @@ class TestSweep:
             capsys,
             ["sweep", "--figure", "fig2", "--config", config_path,
              "--out", str(out_csv), "--grid", "300000,500000",
-             "--ris-sizes", "2x2", "--seed", "3", "--n-draws", "30"],
+             "--ris-sizes", "2x2", "--seed", "3"],
         )
         assert code == 0
         lines = out_csv.read_text().splitlines()
@@ -208,7 +208,7 @@ class TestSweep:
     def test_rerun_is_byte_identical(self, capsys, config_path, tmp_path):
         args = ["sweep", "--figure", "fig3", "--config", config_path,
                 "--out", "", "--grid", "20,40", "--ris-sizes", "2x2",
-                "--seed", "11", "--n-draws", "25"]
+                "--seed", "11"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args[6] = str(a)
         assert main(args) == 0
@@ -222,7 +222,7 @@ class TestSweep:
         code, _, _ = run_cli(
             capsys,
             ["sweep", "--figure", "fig4", "--config", config_path,
-             "--out", str(out_csv), "--ris-sizes", "1x2,2x2", "--n-draws", "20"],
+             "--out", str(out_csv), "--ris-sizes", "1x2,2x2"],
         )
         assert code == 0
         ks = [line.split(",")[1] for line in out_csv.read_text().splitlines()[1:]]
@@ -242,13 +242,24 @@ class TestSweep:
             capsys,
             ["sweep", "--figure", "fig4", "--config", stall_config_path,
              "--out", str(out_csv), "--ris-sizes", "5x5",
-             "--inner-max-iters", "1", "--n-draws", "20"],
+             "--inner-max-iters", "1"],
         )
         assert code == 3
         assert out_csv.exists()
         lines = out_csv.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 4
+
+    def test_unordered_element_counts_exit_2(self, capsys, config_path, tmp_path):
+        for sizes, counts in (("5x5,2x2", "5x5=25, 2x2=4"), ("2x3,3x2", "2x3=6, 3x2=6")):
+            code, _, err = run_cli(
+                capsys,
+                ["sweep", "--figure", "fig4", "--config", config_path,
+                 "--out", str(tmp_path / "x.csv"), "--ris-sizes", sizes],
+            )
+            assert code == 2
+            assert "element counts" in err and counts in err
+            assert "grid" not in err
 
     def test_malformed_sizes_exit_2(self, capsys, config_path, tmp_path):
         code, _, _ = run_cli(
@@ -288,8 +299,9 @@ class TestParser:
     def test_removed_loop_flags_exit_2(self, config_path):
         sweep = ["sweep", "--figure", "fig4", "--out", "unused.csv"]
         for argv in (["optimize", "--max-outer", "1"], ["optimize", "--epsilon", "1e-3"],
-                     ["optimize", "--restarts", "2"], sweep + ["--max-outer", "1"],
-                     sweep + ["--epsilon", "1e-3"]):
+                     ["optimize", "--restarts", "2"], ["optimize", "--n-draws", "20"],
+                     sweep + ["--max-outer", "1"], sweep + ["--epsilon", "1e-3"],
+                     sweep + ["--n-draws", "20"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--config", config_path])
             assert exc.value.code == 2

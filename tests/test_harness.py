@@ -28,10 +28,10 @@ from risjam import (
     write_sweep_csv,
 )
 from risjam.channel import TWO_PI
+from risjam.harness import _scenario_at
 
 from conftest import make_random_scenario
 
-FAST = OptimizerSettings(n_draws=30)
 # fig4 at seed 0 with default settings, as format_csv_rows renders it.
 FIG4_SEED0 = Path(__file__).parent / "data" / "fig4_seed0.csv"
 
@@ -43,7 +43,6 @@ def small_spec(**overrides) -> SweepSpec:
         ris_sizes=((2, 2),),
         base=default_scenario(),
         seed=5,
-        n_random=25,
     )
     base.update(overrides)
     return SweepSpec(**base)
@@ -93,7 +92,7 @@ class TestOracle:
         rng = np.random.default_rng(67)
         sc = make_random_scenario(rng, k_rows=1, k_cols=1)
         coarse = oracle_exhaustive(sc, 360)
-        ps = optimize_phases(lift(build_channel_set(sc), sc), FAST, seed=1)
+        ps = optimize_phases(lift(build_channel_set(sc), sc), OptimizerSettings(), seed=1)
         assert ps.sjnr_linear >= coarse.sjnr_linear - abs(coarse.sjnr_linear) * 1e-3
         assert coarse.sjnr_linear <= ps.sdp_bound * (1 + 1e-9)
 
@@ -160,23 +159,46 @@ class TestSweepSpec:
         assert f3.grid == tuple(float(v) for v in range(10, 101, 10))
         assert f2.ris_sizes == ((3, 3), (5, 5), (10, 10))
 
+    @pytest.mark.parametrize(
+        "spec_fn, moved",
+        [(fig2_spec, "pos_tx.z"), (fig3_spec, "pos_ris.z"), (fig4_spec, None)],
+    )
+    def test_figure_points_change_only_their_coordinate(self, spec_fn, moved):
+        def flat(sc):
+            out = {}
+            for key, value in dataclasses.asdict(sc).items():
+                if isinstance(value, dict):
+                    out.update({f"{key}.{axis}": v for axis, v in value.items()})
+                else:
+                    out[key] = value
+            return out
+
+        base = make_random_scenario(np.random.default_rng(71))
+        spec = spec_fn(base=base)
+        for value, size in spec.points:
+            built = flat(_scenario_at(spec, value, size))
+            expected = dict(flat(base), k_rows=size[0], k_cols=size[1])
+            if moved is not None:
+                expected[moved] = value
+            assert built == expected
+
 
 class TestRunSweep:
     def test_row_layout_and_order(self):
         spec = small_spec()
-        rows = run_sweep(spec, FAST)
+        rows = run_sweep(spec)
         assert len(rows) == 6
         assert [r.method for r in rows] == ["optimized", "identity", "random_mean"] * 2
         assert [r.variable_value for r in rows] == [300e3] * 3 + [600e3] * 3
         assert all(r.k == 4 for r in rows)
 
     def test_seeds_shared_within_point(self):
-        rows = run_sweep(small_spec(), FAST)
+        rows = run_sweep(small_spec())
         assert rows[0].seed == rows[1].seed == rows[2].seed
         assert rows[0].seed != rows[3].seed
 
     def test_optimized_dominates_baselines(self):
-        rows = run_sweep(small_spec(), FAST)
+        rows = run_sweep(small_spec())
         for i in range(0, len(rows), 3):
             opt, ident, rand = rows[i : i + 3]
             assert opt.sjnr_db >= ident.sjnr_db - 1e-6
@@ -185,16 +207,16 @@ class TestRunSweep:
             assert ident.sdp_bound_db is None and rand.sdp_bound_db is None
 
     def test_deterministic_rerun(self):
-        a = run_sweep(small_spec(), FAST)
-        b = run_sweep(small_spec(), FAST)
+        a = run_sweep(small_spec())
+        b = run_sweep(small_spec())
         assert format_csv_rows(a) == format_csv_rows(b)
 
     def test_runtime_column_zero_without_timing(self):
-        rows = run_sweep(small_spec(), FAST, timing=False)
+        rows = run_sweep(small_spec(), timing=False)
         assert all(r.runtime_ms == 0 for r in rows)
 
     def test_timing_populates_runtime(self):
-        rows = run_sweep(small_spec(), FAST, timing=True)
+        rows = run_sweep(small_spec(), timing=True)
         assert any(r.runtime_ms >= 0 for r in rows)
 
     def test_element_sweep_changes_k(self):
@@ -204,22 +226,21 @@ class TestRunSweep:
             ris_sizes=((1, 1), (2, 2)),
             base=default_scenario(),
             seed=2,
-            n_random=10,
         )
-        rows = run_sweep(spec, FAST)
+        rows = run_sweep(spec)
         assert [r.k for r in rows] == [1, 1, 1, 4, 4, 4]
 
 
 class TestCsv:
     def test_header_exact(self):
         assert CSV_HEADER == "variable,K,method,sjnr_db,sdp_bound_db,runtime_ms,seed"
-        rows = run_sweep(small_spec(), FAST)
+        rows = run_sweep(small_spec())
         text = format_csv_rows(rows)
         assert text.splitlines()[0] == CSV_HEADER
         assert text.endswith("\n")
 
     def test_baseline_rows_have_empty_bound(self):
-        rows = run_sweep(small_spec(), FAST)
+        rows = run_sweep(small_spec())
         lines = format_csv_rows(rows).splitlines()[1:]
         for line in lines:
             cells = line.split(",")
@@ -230,7 +251,7 @@ class TestCsv:
                 assert cells[4] != ""
 
     def test_file_roundtrip_bytes(self, tmp_path):
-        rows = run_sweep(small_spec(), FAST)
+        rows = run_sweep(small_spec())
         path = tmp_path / "sweep.csv"
         write_sweep_csv(rows, str(path))
         assert path.read_bytes() == format_csv_rows(rows).encode()

@@ -23,9 +23,6 @@ from risjam.link import EffectiveGains
 
 from conftest import make_random_scenario, make_stall_scenario
 
-FAST = OptimizerSettings(n_draws=50)
-
-
 def candidate_from_phases(pc: PhaseConfig) -> np.ndarray:
     return np.concatenate([pc.unit_phasors(), [1.0 + 0.0j]])
 
@@ -109,7 +106,7 @@ class TestPhaseSubproblem:
         rng = np.random.default_rng(41)
         sc = make_random_scenario(rng, k_rows=1, k_cols=1)
         lifted = lift(build_channel_set(sc), sc)
-        ps = optimize_phases(lifted, FAST, seed=7)
+        ps = optimize_phases(lifted, OptimizerSettings(), seed=7)
         thetas = np.linspace(0, TWO_PI, 100_000, endpoint=False)
         grid = np.stack([np.exp(1j * thetas), np.ones_like(thetas, dtype=complex)], axis=1)
         f = np.abs(grid @ lifted.w_tx.conj()) ** 2
@@ -122,7 +119,7 @@ class TestPhaseSubproblem:
         rng = np.random.default_rng(43)
         sc = make_random_scenario(rng, k_rows=1, k_cols=2)
         lifted = lift(build_channel_set(sc), sc)
-        ps = optimize_phases(lifted, FAST, seed=11)
+        ps = optimize_phases(lifted, OptimizerSettings(), seed=11)
         # exhaustive 256 x 256 quantization lower-bounds the continuous optimum
         axis = TWO_PI * np.arange(256) / 256
         t1, t2 = np.meshgrid(axis, axis, indexing="ij")
@@ -138,18 +135,18 @@ class TestPhaseSubproblem:
     def test_reported_phases_reproduce_score(self):
         sc = default_scenario()
         lifted = lift(build_channel_set(sc), sc)
-        ps = optimize_phases(lifted, FAST, seed=3)
+        ps = optimize_phases(lifted, OptimizerSettings(), seed=3)
         again = lifted.sjnr_of(candidate_from_phases(ps.phases))
         assert again == pytest.approx(ps.sjnr_linear, rel=1e-12)
 
     def test_never_below_either_anchor(self):
         # identity and the transmitter-aligned phases, also with a capped solve
-        capped = OptimizerSettings(n_draws=5, inner_max_iters=1)
+        capped = OptimizerSettings(inner_max_iters=1)
         rng = np.random.default_rng(47)
         for i in range(8):
             sc = make_random_scenario(rng, **({"p_jam": 0.0} if i % 2 else {}))
             lifted = lift(build_channel_set(sc), sc)
-            ps = optimize_phases(lifted, FAST if i < 4 else capped, seed=i)
+            ps = optimize_phases(lifted, OptimizerSettings() if i < 4 else capped, seed=i)
             aligned = np.exp(1j * (np.angle(lifted.w_tx) - np.angle(lifted.w_tx[-1])))
             aligned[-1] = 1.0
             identity = np.ones(lifted.order, dtype=complex)
@@ -161,14 +158,14 @@ class TestPhaseSubproblem:
 class TestAlternate:
     def test_trace_starts_at_identity_baseline(self):
         sc = default_scenario()
-        res = optimize(sc, FAST, seed=0)
+        res = optimize(sc, seed=0)
         assert res.sjnr_trace[0].sjnr_linear == evaluate(sc).sjnr_linear
 
     def test_trace_nondecreasing_and_bounded(self):
         rng = np.random.default_rng(53)
         for _ in range(5):
             sc = make_random_scenario(rng)
-            res = optimize(sc, FAST, seed=1)
+            res = optimize(sc, seed=1)
             vals = [r.sjnr_linear for r in res.sjnr_trace]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             assert vals[-1] <= res.sdp_bound * (1 + 1e-6)
@@ -176,7 +173,7 @@ class TestAlternate:
 
     def test_power_is_the_cap(self):
         sc = default_scenario()
-        res = optimize(sc, FAST, seed=0)
+        res = optimize(sc, seed=0)
         assert res.p_tx == sc.p_tx_max
 
     def test_ris_disabled_converges_immediately(self):
@@ -192,8 +189,8 @@ class TestAlternate:
 
     def test_seed_determinism(self):
         sc = default_scenario()
-        a = optimize(sc, FAST, seed=42)
-        b = optimize(sc, FAST, seed=42)
+        a = optimize(sc, seed=42)
+        b = optimize(sc, seed=42)
         assert a.final_report.sjnr_linear == b.final_report.sjnr_linear
         assert np.array_equal(a.phases.thetas, b.phases.thetas)
         assert a.outer_iterations == b.outer_iterations
@@ -205,7 +202,7 @@ class TestAlternate:
 
     def test_exhausted_budget_reports_nonconvergence(self):
         sc = make_stall_scenario()
-        res = optimize(sc, OptimizerSettings(inner_max_iters=1, n_draws=20), seed=0)
+        res = optimize(sc, OptimizerSettings(inner_max_iters=1), seed=0)
         assert not res.converged
         assert res.outer_iterations == 1
         assert res.final_report.sjnr_linear <= res.sdp_bound * (1 + 1e-9)
@@ -213,7 +210,7 @@ class TestAlternate:
 
 class TestOptimize:
     def test_json_trace_toggle(self):
-        res = optimize(default_scenario(), FAST, seed=0)
+        res = optimize(default_scenario(), seed=0)
         with_trace = res.to_json_dict(include_trace=True)
         without = res.to_json_dict(include_trace=False)
         assert "sjnr_trace" in with_trace
@@ -225,11 +222,8 @@ class TestOptimize:
 class TestSettings:
     def test_defaults_valid(self):
         s = OptimizerSettings()
-        assert s.n_draws == 200
         assert s.inner_max_iters == 20000
 
     def test_rejections(self):
         with pytest.raises(ValidationError):
             OptimizerSettings(inner_max_iters=0)
-        with pytest.raises(ValidationError):
-            OptimizerSettings(n_draws=0)

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risjam import ValidationError, extract_rank_one, solve_fractional_sdp, solve_unit_diag_sdp
-from risjam.sdp_core import FractionalSolution, HermitianMatrix, SdpSolution
+from risjam import ValidationError, solve_unit_diag_sdp
+from risjam.sdp_core import (
+    FractionalSolution,
+    HermitianMatrix,
+    SdpSolution,
+    extract_rank_one,
+    solve_fractional_sdp,
+)
 
 
 def random_hermitian(n, seed):
@@ -141,14 +147,6 @@ class TestFractionalSdp:
         assert isinstance(fs, FractionalSolution)
         assert fs.ratio_opt == pytest.approx(plain.objective / 4.0, rel=1e-6)
         assert fs.ratio_opt == pytest.approx(float(np.sum(np.abs(a))) ** 2 / 4.0, rel=1e-6)
-
-    def test_lambda_trace_nondecreasing(self):
-        fs = solve_fractional_sdp(
-            random_vector(6, 31), random_vector(6, 32), 2.0, 0.5, 1.0, np.ones(6)
-        )
-        trace = fs.lambda_trace
-        assert len(trace) >= 2
-        assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
     def test_upper_bound_dominates_ratio(self):
         fs = solve_fractional_sdp(
