@@ -1,8 +1,8 @@
-"""LoS channel synthesis: direct scalars, planar-array steering, cascades.
+"""LoS channel synthesis: direct scalars, planar-array steering, gain factors.
 
-Every link follows the same flat-fading LoS template: amplitude
-sqrt(rho * d**-alpha) and geometric phase exp(-j*2*pi*d/lambda). Array
-links additionally carry the element-wise planar steering response.
+Every link follows the same flat-fading LoS template (``_los_gain``):
+amplitude sqrt(rho * d**-alpha) and geometric phase exp(-j*2*pi*d/lambda).
+Array links additionally carry the element-wise planar steering response.
 """
 from __future__ import annotations
 
@@ -90,6 +90,18 @@ class ChannelSet:
     def num_elements(self) -> int:
         return int(self.h_tx_ris.size)
 
+    def gain_factors(self) -> tuple:
+        """The rank-one factors (w_tx, w_jam) of the two total path gains.
+
+        w_chi = [h_ris_ue * conj(h_chi_ris), conj(h_chi_ue)], so that for
+        u = [e^{j theta_1}, ..., e^{j theta_K}, 1] the direct-plus-reflected
+        gain h_chi_ue + sum_k conj(h_ris_ue[k]) e^{j theta_k} h_chi_ris[k]
+        of satellite chi is w_chi^H u.
+        """
+        w_tx = np.append(self.h_ris_ue * np.conj(self.h_tx_ris), np.conj(self.h_tx_ue))
+        w_jam = np.append(self.h_ris_ue * np.conj(self.h_jam_ris), np.conj(self.h_jam_ue))
+        return w_tx, w_jam
+
     def to_json_dict(self) -> dict:
         def c2pair(z: complex) -> list:
             return [float(z.real), float(z.imag)]
@@ -107,13 +119,20 @@ class ChannelSet:
         }
 
 
-def direct_channel(scenario: Scenario, pos_from: Position3D, pos_to: Position3D) -> complex:
-    """Scalar LoS gain sqrt(rho*d**-alpha_d) * exp(-j*2*pi*d/lambda)."""
+def _los_gain(
+    scenario: Scenario, pos_from: Position3D, pos_to: Position3D, alpha: float
+) -> complex:
+    """Scalar LoS gain sqrt(rho*d**-alpha) * exp(-j*2*pi*d/lambda)."""
     d = distance(pos_from, pos_to)
     if d <= 0.0:
-        raise ValidationError("direct channel requires distinct endpoints")
-    magnitude = math.sqrt(scenario.rho * d ** (-scenario.alpha_direct))
+        raise ValidationError("a LoS link requires distinct endpoints")
+    magnitude = math.sqrt(scenario.rho * d ** (-alpha))
     return magnitude * cmath.exp(-1j * TWO_PI * d / scenario.wavelength)
+
+
+def direct_channel(scenario: Scenario, pos_from: Position3D, pos_to: Position3D) -> complex:
+    """Direct satellite-to-user gain: the LoS template with exponent alpha_d."""
+    return _los_gain(scenario, pos_from, pos_to, scenario.alpha_direct)
 
 
 def steering_vector(
@@ -146,34 +165,15 @@ def ris_link_channel(scenario: Scenario, far_node: Position3D) -> np.ndarray:
     the common amplitude sqrt(rho*d**-alpha_r) and the bulk propagation
     phase exp(-j*2*pi*d/lambda) measured at element 0 (far field).
     """
-    d = distance(far_node, scenario.pos_ris)
-    if d <= 0.0:
-        raise ValidationError("RIS link requires a node distinct from the RIS")
-    angles = aoa_angles(far_node, scenario.pos_ris)
+    h0 = _los_gain(scenario, far_node, scenario.pos_ris, scenario.alpha_ris)
     steer = steering_vector(
-        angles,
+        aoa_angles(far_node, scenario.pos_ris),
         scenario.k_rows,
         scenario.k_cols,
         scenario.element_spacing,
         scenario.wavelength,
     )
-    amplitude = math.sqrt(scenario.rho * d ** (-scenario.alpha_ris))
-    bulk = cmath.exp(-1j * TWO_PI * d / scenario.wavelength)
-    return amplitude * bulk * steer
-
-
-def cascade_channel(
-    h_ris_ue: np.ndarray, phases: PhaseConfig, h_sat_ris: np.ndarray
-) -> complex:
-    """Reflected-path scalar: sum_k conj(h_ris_ue[k]) * e^{j theta_k} * h_sat_ris[k]."""
-    h_ris_ue = np.asarray(h_ris_ue, dtype=complex)
-    h_sat_ris = np.asarray(h_sat_ris, dtype=complex)
-    if h_ris_ue.shape != h_sat_ris.shape or h_ris_ue.shape != phases.thetas.shape:
-        raise ValidationError(
-            "cascade requires equal-length vectors, got "
-            f"{h_ris_ue.shape}, {phases.thetas.shape}, {h_sat_ris.shape}"
-        )
-    return complex(np.sum(np.conj(h_ris_ue) * phases.unit_phasors() * h_sat_ris))
+    return h0 * steer
 
 
 def build_channel_set(scenario: Scenario) -> ChannelSet:

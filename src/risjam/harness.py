@@ -7,7 +7,6 @@ non-optimized baselines at every point, and emit deterministic CSV rows.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 from .channel import TWO_PI, PhaseConfig, build_channel_set
 from .link import SjnrReport, evaluate
 from .optimizer import OptimizerSettings, OptResult, lift, optimize
-from .scenario import Position3D, Scenario, ValidationError, default_scenario
+from .scenario import Position3D, Scenario, ValidationError, default_scenario, linear_to_db
 
 SWEEP_VARIABLES = ("leo_distance", "ris_distance", "num_elements")
 CSV_HEADER = "variable,K,method,sjnr_db,sdp_bound_db,runtime_ms,seed"
@@ -29,7 +28,9 @@ class SweepSpec:
 
     For leo_distance / ris_distance the rows are the cartesian product of
     grid values and RIS sizes; for num_elements the grid pairs with
-    ris_sizes index by index (grid[i] == rows*cols of ris_sizes[i]).
+    ris_sizes index by index (grid[i] == rows*cols of ris_sizes[i]). The
+    sizes must have distinct element counts, because CSV rows carry K, not
+    the RIS shape.
     """
 
     variable: str
@@ -51,6 +52,10 @@ class SweepSpec:
             raise ValidationError("ris_sizes must be nonempty")
         if any(r < 1 or c < 1 for r, c in sizes):
             raise ValidationError("ris_sizes entries must be >= 1x1")
+        counts = [r * c for r, c in sizes]
+        listing = ", ".join(f"{r}x{c}={r * c}" for r, c in sizes)
+        if len(set(counts)) != len(counts):
+            raise ValidationError(f"RIS sizes must have distinct element counts, got {listing}")
         if self.variable == "num_elements":
             if len(sizes) != len(grid):
                 raise ValidationError(
@@ -63,9 +68,8 @@ class SweepSpec:
                     )
         if any(b <= a for a, b in zip(grid, grid[1:])):
             if self.variable == "num_elements":
-                counts = ", ".join(f"{r}x{c}={r * c}" for r, c in sizes)
                 raise ValidationError(
-                    f"RIS sizes must have strictly increasing element counts, got {counts}"
+                    f"RIS sizes must have strictly increasing element counts, got {listing}"
                 )
             raise ValidationError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
@@ -119,7 +123,7 @@ def baseline_random_mean(scenario: Scenario, n_samples: int = 100, seed: int = 0
     jam_w = float(np.mean(scenario.p_jam * delta))
     return SjnrReport(
         sjnr_linear=mean_lin,
-        sjnr_db=10.0 * math.log10(mean_lin) if mean_lin > 0.0 else -math.inf,
+        sjnr_db=linear_to_db(mean_lin),
         signal_w=mean_lin * (jam_w + scenario.noise_power),
         jam_w=jam_w,
         noise_w=scenario.noise_power,
@@ -189,12 +193,9 @@ def run_sweep(
         t0 = time.perf_counter()
         rand = baseline_random_mean(scenario, seed=seed)
         t_rand = time.perf_counter() - t0
-        bound_db = (
-            10.0 * math.log10(res.sdp_bound) if res.sdp_bound > 0.0 else -math.inf
-        )
         rows += [
-            SweepRow(value, k, "optimized", res.final_report.sjnr_db, bound_db,
-                     ms(t_opt), seed, res.converged),
+            SweepRow(value, k, "optimized", res.final_report.sjnr_db,
+                     linear_to_db(res.sdp_bound), ms(t_opt), seed, res.converged),
             SweepRow(value, k, "identity", ident.sjnr_db, None, ms(t_ident), seed),
             SweepRow(value, k, "random_mean", rand.sjnr_db, None, ms(t_rand), seed),
         ]

@@ -4,7 +4,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelSet, PhaseConfig, build_channel_set, cascade_channel, identity_phases
+import numpy as np
+
+from .channel import ChannelSet, PhaseConfig, build_channel_set, identity_phases
 from .scenario import Scenario, ValidationError, linear_to_db
 
 
@@ -52,12 +54,14 @@ class SjnrReport:
 
 
 def effective_gains(channels: ChannelSet, phases: PhaseConfig) -> EffectiveGains:
-    """|direct + reflected|^2 for the transmitter and the jammer paths."""
-    casc_tx = cascade_channel(channels.h_ris_ue, phases, channels.h_tx_ris)
-    casc_jam = cascade_channel(channels.h_ris_ue, phases, channels.h_jam_ris)
+    """|direct + reflected|^2 = |w^H [u; 1]|^2 for the transmitter and jammer paths."""
+    if phases.num_elements != channels.num_elements:
+        raise ValidationError(f"{phases.num_elements} phases for {channels.num_elements} elements")
+    u = np.append(phases.unit_phasors(), 1.0)
+    w_tx, w_jam = channels.gain_factors()
     return EffectiveGains(
-        gamma_tx=abs(channels.h_tx_ue + casc_tx) ** 2,
-        delta_jam=abs(channels.h_jam_ue + casc_jam) ** 2,
+        gamma_tx=abs(w_tx.conj() @ u) ** 2,
+        delta_jam=abs(w_jam.conj() @ u) ** 2,
     )
 
 
@@ -72,30 +76,18 @@ def sjnr(gains: EffectiveGains, p_tx: float, p_jam: float, noise_power: float) -
     signal_w = p_tx * gains.gamma_tx
     jam_w = p_jam * gains.delta_jam
     sjnr_linear = signal_w / (jam_w + noise_power)
-    sjnr_db = linear_to_db(sjnr_linear) if sjnr_linear > 0.0 else -math.inf
     return SjnrReport(
         sjnr_linear=sjnr_linear,
-        sjnr_db=sjnr_db,
+        sjnr_db=linear_to_db(sjnr_linear),
         signal_w=signal_w,
         jam_w=jam_w,
         noise_w=noise_power,
     )
 
 
-def evaluate(scenario: Scenario, phases: PhaseConfig | None = None, p_tx: float | None = None) -> SjnrReport:
-    """SJNR of a scenario at given phases (default identity) and power (default max)."""
+def evaluate(scenario: Scenario, phases: PhaseConfig | None = None) -> SjnrReport:
+    """SJNR of a scenario at given phases (default identity) and the power cap."""
     if phases is None:
         phases = identity_phases(scenario.num_elements)
-    if phases.num_elements != scenario.num_elements:
-        raise ValidationError(
-            f"scenario has {scenario.num_elements} elements but phases carry "
-            f"{phases.num_elements}"
-        )
-    channels = build_channel_set(scenario)
-    gains = effective_gains(channels, phases)
-    return sjnr(
-        gains,
-        scenario.p_tx_max if p_tx is None else p_tx,
-        scenario.p_jam,
-        scenario.noise_power,
-    )
+    gains = effective_gains(build_channel_set(scenario), phases)
+    return sjnr(gains, scenario.p_tx_max, scenario.p_jam, scenario.noise_power)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelSet, PhaseConfig, build_channel_set, identity_phases
 from .link import SjnrReport, effective_gains, sjnr
-from .scenario import Scenario, ValidationError
+from .scenario import Scenario, ValidationError, linear_to_db
 from .sdp_core import _phase_project, extract_rank_one, solve_fractional_sdp
 
 # Gaussian randomization draws of the rank-one extraction.
@@ -134,7 +134,7 @@ class OptResult:
             "sjnr_linear": self.final_report.sjnr_linear,
             "sjnr_db": self.final_report.sjnr_db,
             "sdp_bound_linear": self.sdp_bound,
-            "sdp_bound_db": 10.0 * math.log10(self.sdp_bound) if self.sdp_bound > 0 else -math.inf,
+            "sdp_bound_db": linear_to_db(self.sdp_bound),
             "outer_iterations": self.outer_iterations,
             "converged": self.converged,
             "seed": self.seed,
@@ -145,32 +145,23 @@ class OptResult:
         return out
 
 
-def lift(channels: ChannelSet, scenario: Scenario, p_tx: float | None = None) -> LiftedProblem:
-    """Build the rank-one lifted forms of both total path gains.
+def lift(channels: ChannelSet, scenario: Scenario) -> LiftedProblem:
+    """The rank-one lifted forms of both total path gains at the power cap.
 
-    For chi in {tx, jam}: w_k = h_ris_ue[k] * conj(h_chi_ris[k]) for the K
-    element slots and w_last = conj(h_chi_ue), so that for any unit-modulus
-    candidate u = [e^{j theta_1}, ..., e^{j theta_K}, 1]:
-
-        w^H u = h_chi_ue + sum_k conj(h_ris_ue[k]) e^{j theta_k} h_chi_ris[k]
-
-    which is the direct-plus-cascade gain evaluated by the channel module.
+    The factors are ChannelSet.gain_factors: for any unit-modulus candidate
+    u = [e^{j theta_1}, ..., e^{j theta_K}, 1], w^H u is the direct-plus-
+    reflected gain that link.effective_gains squares.
     """
     if channels.num_elements != scenario.num_elements:
         raise ValidationError(
             f"channel set has {channels.num_elements} elements, scenario "
             f"{scenario.num_elements}"
         )
-    w_tx = np.concatenate(
-        [channels.h_ris_ue * np.conj(channels.h_tx_ris), [np.conj(channels.h_tx_ue)]]
-    )
-    w_jam = np.concatenate(
-        [channels.h_ris_ue * np.conj(channels.h_jam_ris), [np.conj(channels.h_jam_ue)]]
-    )
+    w_tx, w_jam = channels.gain_factors()
     return LiftedProblem(
         w_tx=w_tx,
         w_jam=w_jam,
-        p_tx=scenario.p_tx_max if p_tx is None else p_tx,
+        p_tx=scenario.p_tx_max,
         p_jam=scenario.p_jam,
         noise_power=scenario.noise_power,
     )
@@ -232,7 +223,7 @@ def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed
     gains = effective_gains(channels, identity_phases(scenario.num_elements))
     p_tx = optimize_power(gains, scenario.p_tx_max)
     start = sjnr(gains, p_tx, scenario.p_jam, scenario.noise_power)
-    ps = optimize_phases(lift(channels, scenario, p_tx=p_tx), settings, seed)
+    ps = optimize_phases(lift(channels, scenario), settings, seed)
     best = sjnr(
         effective_gains(channels, ps.phases), p_tx, scenario.p_jam, scenario.noise_power
     )

@@ -30,7 +30,8 @@ def db_to_linear(x_db: float) -> float:
 
 
 def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
+    """10*log10(x), and -inf for x = 0 (a zero power or ratio)."""
+    return 10.0 * math.log10(x) if x > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def noise_power_from(
     """Thermal noise power in watts from density (dBm/Hz), bandwidth, and NF."""
     if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0.0):
         raise ValidationError(f"bandwidth must be > 0, got {bandwidth_hz!r}")
-    dbm = noise_density_dbm_per_hz + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
+    dbm = noise_density_dbm_per_hz + linear_to_db(bandwidth_hz) + noise_figure_db
     return db_to_linear(dbm - 30.0)
 
 

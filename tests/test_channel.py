@@ -1,4 +1,8 @@
-"""LoS channels, planar-array steering, phase configs, and the cascade sum."""
+"""LoS channels, planar-array steering, phase configs, and the cascade sum.
+
+The cascade sum is read through link.effective_gains and checked against
+sums written out here.
+"""
 import cmath
 import math
 
@@ -13,11 +17,12 @@ from risjam import (
     ValidationError,
     build_channel_set,
     default_scenario,
+    effective_gains,
     identity_phases,
 )
 from risjam.channel import (
     TWO_PI,
-    cascade_channel,
+    ChannelSet,
     direct_channel,
     ris_link_channel,
     steering_vector,
@@ -172,38 +177,53 @@ class TestRisLink:
         assert v[0] == pytest.approx(ref, rel=1e-9)
 
 
+def random_channels(rng, k) -> ChannelSet:
+    def draw(n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    return ChannelSet(complex(draw(1)[0]), complex(draw(1)[0]), draw(k), draw(k), draw(k))
+
+
+def coherent_cap(h_d, h_ru, h_sr) -> float:
+    """(|h_d| + sum_k |h_ru[k]| |h_sr[k]|)^2, the largest total gain over all phases."""
+    return float(abs(h_d) + np.sum(np.abs(h_ru) * np.abs(h_sr))) ** 2
+
+
 class TestCascade:
     def test_manual_three_element_sum(self):
         h_ru = np.array([1 + 1j, 2.0, -1j])
-        h_sr = np.array([0.5, 1j, 1 + 0j])
+        h_tx = np.array([0.5, 1j, 1 + 0j])
+        h_jam = np.array([2j, -1.0, 0.5 + 0.5j])
+        ch = ChannelSet(0.3 - 0.2j, -0.1 + 0.4j, h_tx, h_jam, h_ru)
         pc = PhaseConfig(np.array([0.0, math.pi / 2, math.pi]))
-        expected = sum(
-            np.conj(h_ru[k]) * cmath.exp(1j * pc.thetas[k]) * h_sr[k] for k in range(3)
-        )
-        assert cascade_channel(h_ru, pc, h_sr) == pytest.approx(expected, rel=1e-12)
+        g = effective_gains(ch, pc)
+        for h_d, h_sr, got in ((ch.h_tx_ue, h_tx, g.gamma_tx), (ch.h_jam_ue, h_jam, g.delta_jam)):
+            cascade = sum(
+                np.conj(h_ru[k]) * cmath.exp(1j * pc.thetas[k]) * h_sr[k] for k in range(3)
+            )
+            assert got == pytest.approx(abs(h_d + cascade) ** 2, rel=1e-12)
 
     def test_alignment_attains_coherent_sum(self):
-        rng = np.random.default_rng(5)
-        h_ru = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        h_sr = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        thetas = -np.angle(np.conj(h_ru) * h_sr)
-        got = cascade_channel(h_ru, PhaseConfig(thetas), h_sr)
-        assert abs(got) == pytest.approx(float(np.sum(np.abs(h_ru) * np.abs(h_sr))), rel=1e-12)
+        ch = random_channels(np.random.default_rng(5), 6)
+        thetas = np.angle(ch.h_tx_ue) - np.angle(np.conj(ch.h_ris_ue) * ch.h_tx_ris)
+        got = effective_gains(ch, PhaseConfig(thetas)).gamma_tx
+        assert got == pytest.approx(coherent_cap(ch.h_tx_ue, ch.h_ris_ue, ch.h_tx_ris), rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            cascade_channel(np.ones(3), identity_phases(3), np.ones(4))
+            ChannelSet(1j, 1j, np.ones(4), np.ones(4), np.ones(3))
+        ch = ChannelSet(1j, 1j, np.ones(3), np.ones(3), np.ones(3))
         with pytest.raises(ValidationError):
-            cascade_channel(np.ones(3), identity_phases(2), np.ones(3))
+            effective_gains(ch, identity_phases(2))
 
     @given(st.lists(ANGLE, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
     def test_triangle_bound(self, thetas, seed):
-        k = len(thetas)
-        rng = np.random.default_rng(seed)
-        h_ru = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        h_sr = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        got = cascade_channel(h_ru, PhaseConfig(np.array(thetas)), h_sr)
-        assert abs(got) <= float(np.sum(np.abs(h_ru) * np.abs(h_sr))) * (1 + 1e-12)
+        ch = random_channels(np.random.default_rng(seed), len(thetas))
+        g = effective_gains(ch, PhaseConfig(np.array(thetas)))
+        cap_tx = coherent_cap(ch.h_tx_ue, ch.h_ris_ue, ch.h_tx_ris)
+        cap_jam = coherent_cap(ch.h_jam_ue, ch.h_ris_ue, ch.h_jam_ris)
+        assert g.gamma_tx <= cap_tx * (1 + 1e-12)
+        assert g.delta_jam <= cap_jam * (1 + 1e-12)
 
 
 class TestBuildChannelSet:

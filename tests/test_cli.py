@@ -1,5 +1,6 @@
 """Subcommand behavior, exit codes, and output reproducibility."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from risjam.channel import PhaseConfig
 from risjam.cli import main
 
 from conftest import make_stall_scenario
+
+FIG4_SEED0 = Path(__file__).parent / "data" / "fig4_seed0.csv"
 
 
 @pytest.fixture
@@ -251,15 +254,20 @@ class TestSweep:
         assert len(lines) == 4
 
     def test_unordered_element_counts_exit_2(self, capsys, config_path, tmp_path):
-        for sizes, counts in (("5x5,2x2", "5x5=25, 2x2=4"), ("2x3,3x2", "2x3=6, 3x2=6")):
+        out_csv = tmp_path / "x.csv"
+        cases = (
+            (["--figure", "fig4", "--ris-sizes", "5x5,2x2"], "5x5=25, 2x2=4"),
+            (["--figure", "fig4", "--ris-sizes", "2x3,3x2"], "2x3=6, 3x2=6"),
+            (["--figure", "fig2", "--grid", "300000", "--ris-sizes", "2x2,2x2"], "2x2=4, 2x2=4"),
+        )
+        for args, counts in cases:
             code, _, err = run_cli(
-                capsys,
-                ["sweep", "--figure", "fig4", "--config", config_path,
-                 "--out", str(tmp_path / "x.csv"), "--ris-sizes", sizes],
+                capsys, ["sweep", *args, "--config", config_path, "--out", str(out_csv)]
             )
             assert code == 2
             assert "element counts" in err and counts in err
             assert "grid" not in err
+            assert not out_csv.exists()
 
     def test_malformed_sizes_exit_2(self, capsys, config_path, tmp_path):
         code, _, _ = run_cli(
@@ -268,6 +276,18 @@ class TestSweep:
              "--out", str(tmp_path / "x.csv"), "--ris-sizes", "3by3"],
         )
         assert code == 2
+
+    def test_fig4_seed0_matches_committed_csv(self, capsys, tmp_path):
+        config = tmp_path / "default.json"
+        config.write_text("{}")
+        out_csv = tmp_path / "fig4.csv"
+        code, _, _ = run_cli(
+            capsys,
+            ["sweep", "--figure", "fig4", "--config", str(config),
+             "--out", str(out_csv), "--seed", "0"],
+        )
+        assert code == 0
+        assert out_csv.read_bytes() == FIG4_SEED0.read_bytes()
 
 
 class TestOracle:

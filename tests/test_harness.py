@@ -128,6 +128,13 @@ class TestSweepSpec:
         with pytest.raises(ValidationError):
             small_spec(ris_sizes=())
 
+    def test_rejects_equal_element_counts(self):
+        for sizes in (((2, 2), (2, 2)), ((2, 3), (3, 2))):
+            with pytest.raises(ValidationError, match="distinct element counts"):
+                small_spec(ris_sizes=sizes)
+            with pytest.raises(ValidationError, match="distinct element counts"):
+                small_spec(variable="ris_distance", grid=(20.0, 40.0), ris_sizes=sizes)
+
     def test_element_sweep_requires_matching_pairs(self):
         with pytest.raises(ValidationError):
             SweepSpec(

@@ -49,6 +49,13 @@ class TestEffectiveGains:
         got = sjnr(g, sc.p_tx_max, sc.p_jam, sc.noise_power)
         assert got.sjnr_linear == pytest.approx(0.25217796446152035, rel=1e-12)
 
+    def test_ris_disabled_gives_direct_gains(self):
+        sc = default_scenario(ris_enabled=False)
+        ch = build_channel_set(sc)
+        g = effective_gains(ch, PhaseConfig(np.linspace(0.3, 5.0, sc.num_elements)))
+        assert g.gamma_tx == abs(ch.h_tx_ue) ** 2
+        assert g.delta_jam == abs(ch.h_jam_ue) ** 2
+
     def test_negative_gain_rejected(self):
         with pytest.raises(ValidationError):
             EffectiveGains(gamma_tx=-1.0, delta_jam=0.0)
@@ -116,7 +123,8 @@ class TestEvaluate:
     def test_defaults_to_identity_and_power_cap(self):
         sc = default_scenario()
         a = evaluate(sc)
-        b = evaluate(sc, identity_phases(sc.num_elements), sc.p_tx_max)
+        g = effective_gains(build_channel_set(sc), identity_phases(sc.num_elements))
+        b = sjnr(g, sc.p_tx_max, sc.p_jam, sc.noise_power)
         assert a.sjnr_linear == b.sjnr_linear
 
     def test_wrong_phase_count_rejected(self):
@@ -136,6 +144,6 @@ class TestEvaluate:
 
     def test_scenario_power_override(self):
         sc = default_scenario()
-        half = evaluate(sc, p_tx=sc.p_tx_max / 2)
+        half = evaluate(dataclasses.replace(sc, p_tx_max=sc.p_tx_max / 2))
         full = evaluate(sc)
         assert full.sjnr_linear == pytest.approx(2 * half.sjnr_linear, rel=1e-12)

@@ -96,8 +96,8 @@ class TestPowerStep:
     def test_sjnr_is_nondecreasing_in_power(self):
         # the property that justifies the power step
         sc = default_scenario()
-        lo = evaluate(sc, p_tx=1.0).sjnr_linear
-        hi = evaluate(sc, p_tx=sc.p_tx_max).sjnr_linear
+        lo = evaluate(dataclasses.replace(sc, p_tx_max=1.0)).sjnr_linear
+        hi = evaluate(sc).sjnr_linear
         assert hi >= lo
 
 

@@ -34,6 +34,7 @@ class TestConversions:
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-14)
         assert db_to_linear(-55.0) == pytest.approx(3.1622776601683795e-06, rel=1e-14)
         assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-12)
+        assert linear_to_db(0.0) == -math.inf
 
     def test_noise_power_examples(self):
         # density -30 dBm/Hz over 1 Hz with no noise figure is exactly 1 uW
