@@ -154,7 +154,7 @@ def steering_vector(
     step = -TWO_PI * element_spacing / wavelength
     row = np.exp(1j * step * a_x * np.arange(k_rows))
     col = np.exp(1j * step * a_z * np.arange(k_cols))
-    return np.kron(row, col)
+    return np.outer(row, col).ravel()
 
 
 def ris_link_channel(scenario: Scenario, far_node: Position3D) -> np.ndarray:

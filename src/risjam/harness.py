@@ -15,7 +15,7 @@ import numpy as np
 from .channel import TWO_PI, PhaseConfig, build_channel_set
 from .link import SjnrReport, evaluate
 from .optimizer import OptimizerSettings, OptResult, lift, optimize
-from .scenario import Position3D, Scenario, ValidationError, default_scenario, linear_to_db
+from .scenario import Position3D, Scenario, ValidationError, _seed, default_scenario, linear_to_db
 
 SWEEP_VARIABLES = ("leo_distance", "ris_distance", "num_elements")
 CSV_HEADER = "variable,K,method,sjnr_db,sdp_bound_db,runtime_ms,seed"
@@ -74,6 +74,7 @@ class SweepSpec:
             raise ValidationError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ris_sizes", sizes)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
     @property
     def points(self) -> list:

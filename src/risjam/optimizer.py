@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelSet, PhaseConfig, build_channel_set, identity_phases
 from .link import SjnrReport, effective_gains, sjnr
-from .scenario import Scenario, ValidationError, linear_to_db
+from .scenario import Scenario, ValidationError, _seed, linear_to_db
 from .sdp_core import _phase_project, extract_rank_one, solve_fractional_sdp
 
 # Gaussian randomization draws of the rank-one extraction.
@@ -218,6 +218,7 @@ def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed
     maximizer of F(u) / (p_jam*G(u) + N) does not depend on p. A second
     round would repeat the same phase solve.
     """
+    seed = _seed(seed)
     settings = settings or OptimizerSettings()
     channels = build_channel_set(scenario)
     gains = effective_gains(channels, identity_phases(scenario.num_elements))

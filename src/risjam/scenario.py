@@ -25,6 +25,13 @@ def _number(key: str, value) -> float:
         raise ValidationError(f"{key} is out of range, got {value!r}") from exc
 
 
+def _seed(value) -> int:
+    """A random seed: numpy's generators take only non-negative integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 

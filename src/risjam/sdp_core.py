@@ -171,26 +171,33 @@ def solve_unit_diag_sdp(
         best_ub = min(best_ub, _feasible_dual_bound(cm, rho, u))
         return max(0.0, best_ub - best_lb) <= tol * (1.0 + abs(best_lb))
 
+    # The iterates are not symmetrized: eigh reads only the lower triangle
+    # of m, and the anti-Hermitian rounding carried in u is scaled by
+    # 1 - alpha each step, so it stays at rounding level.
     converged = certify()
     if not converged:
+        diag = np.arange(n)
+        c_rho = cm / rho
         for it in range(1, max_iters + 1):
             iterations = it
-            x = z - u + cm / rho
-            x = _hermitize(x)
-            np.fill_diagonal(x, 1.0)
-            x_relaxed = alpha * x + (1.0 - alpha) * z
-            w, q = np.linalg.eigh(_hermitize(x_relaxed + u))
-            z_new = _hermitize((q * np.clip(w, 0.0, None)) @ q.conj().T)
-            u = u + x_relaxed - z_new
+            x = z - u + c_rho
+            x[diag, diag] = 1.0
+            m = alpha * x + (1.0 - alpha) * z + u
+            w, q = np.linalg.eigh(m)
+            np.maximum(w, 0.0, out=w)
+            z_new = (q * w) @ q.conj().T
+            u = m - z_new
             if it % 10 == 0:
                 pri = float(np.linalg.norm(x - z_new))
                 dua = rho * float(np.linalg.norm(z_new - z))
                 if pri > 10.0 * dua:
                     rho *= 2.0
-                    u = u / 2.0
+                    u /= 2.0
+                    c_rho = cm / rho
                 elif dua > 10.0 * pri:
                     rho /= 2.0
-                    u = u * 2.0
+                    u *= 2.0
+                    c_rho = cm / rho
             z = z_new
             if it % _CHECK_EVERY == 0 and certify():
                 converged = True

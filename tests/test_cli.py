@@ -192,6 +192,12 @@ class TestOptimize:
         )
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys, config_path):
+        code, out, err = run_cli(capsys, ["optimize", "--config", config_path, "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+
 
 class TestSweep:
     def test_small_sweep_writes_csv(self, capsys, config_path, tmp_path):
@@ -268,6 +274,18 @@ class TestSweep:
             assert "element counts" in err and counts in err
             assert "grid" not in err
             assert not out_csv.exists()
+
+    def test_negative_seed_exits_2(self, capsys, config_path, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--figure", "fig4", "--config", config_path,
+             "--out", str(out_csv), "--ris-sizes", "2x2", "--seed", "-1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+        assert not out_csv.exists()
 
     def test_malformed_sizes_exit_2(self, capsys, config_path, tmp_path):
         code, _, _ = run_cli(

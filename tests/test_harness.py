@@ -135,6 +135,10 @@ class TestSweepSpec:
             with pytest.raises(ValidationError, match="distinct element counts"):
                 small_spec(variable="ris_distance", grid=(20.0, 40.0), ris_sizes=sizes)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            small_spec(seed=-1)
+
     def test_element_sweep_requires_matching_pairs(self):
         with pytest.raises(ValidationError):
             SweepSpec(

@@ -195,6 +195,10 @@ class TestAlternate:
         assert np.array_equal(a.phases.thetas, b.phases.thetas)
         assert a.outer_iterations == b.outer_iterations
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            optimize(default_scenario(), seed=-1)
+
     def test_improves_on_identity(self):
         sc = default_scenario()
         res = optimize(sc, seed=0)

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from risjam import ValidationError, solve_unit_diag_sdp
 from risjam.sdp_core import (
+    _CHECK_EVERY,
     FractionalSolution,
     HermitianMatrix,
     SdpSolution,
+    _feasible_dual_bound,
+    _feasible_primal,
+    _hermitize,
     extract_rank_one,
     solve_fractional_sdp,
 )
@@ -136,6 +140,74 @@ class TestUnitDiagSdp:
         z = np.exp(1j * phis)
         vals = c[0, 0].real + c[1, 1].real + 2 * np.real(c[1, 0] * z)
         assert sol.objective >= vals.max() - 1e-6
+
+
+def reference_sdp(c, tol, max_iters=20000):
+    """The splitting step with every iterate explicitly symmetrized.
+
+    Same ADMM as solve_unit_diag_sdp from a cold start: over-relaxation 1.6,
+    rho balancing every 10 steps, a certificate every _CHECK_EVERY steps.
+    Returns (objective, gap, iterations, converged).
+    """
+    n = c.shape[0]
+    z = np.eye(n, dtype=complex)
+    u = np.zeros((n, n), dtype=complex)
+    rho = max(float(np.linalg.norm(c)) / n, 1e-12)
+    alpha = 1.6
+    lb, ub = -math.inf, math.inf
+
+    def certify():
+        nonlocal lb, ub
+        lb = max(lb, _feasible_primal(c, z)[0])
+        ub = min(ub, _feasible_dual_bound(c, rho, u))
+        return max(0.0, ub - lb) <= tol * (1.0 + abs(lb))
+
+    it = 0
+    converged = certify()
+    while not converged and it < max_iters:
+        it += 1
+        x = _hermitize(z - u + c / rho)
+        np.fill_diagonal(x, 1.0)
+        x_relaxed = alpha * x + (1.0 - alpha) * z
+        w, q = np.linalg.eigh(_hermitize(x_relaxed + u))
+        z_new = _hermitize((q * np.clip(w, 0.0, None)) @ q.conj().T)
+        u = u + x_relaxed - z_new
+        if it % 10 == 0:
+            pri = float(np.linalg.norm(x - z_new))
+            dua = rho * float(np.linalg.norm(z_new - z))
+            if pri > 10.0 * dua:
+                rho *= 2.0
+                u = u / 2.0
+            elif dua > 10.0 * pri:
+                rho /= 2.0
+                u = u * 2.0
+        z = z_new
+        if it % _CHECK_EVERY == 0 or it == max_iters:
+            converged = certify()
+    return lb, max(0.0, ub - lb), it, converged
+
+
+class TestUnsymmetrizedStep:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_symmetrized_reference(self, seed):
+        n = 2 + (seed * 24) // 19  # n = 2 ... 26
+        c = random_hermitian(n, 100 + seed)
+        objective, gap, iterations, converged = reference_sdp(c, tol=1e-9)
+        sol = solve_unit_diag_sdp(c, tol=1e-9)
+        assert sol.iterations == iterations
+        assert sol.converged == converged
+        scale = 1.0 + abs(objective)
+        assert abs(sol.objective - objective) <= 1e-10 * scale
+        assert abs(sol.duality_gap_estimate - gap) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (10, 7), (26, 8)])
+    def test_state_stays_hermitian_over_a_long_run(self, n, seed):
+        state: dict = {}
+        sol = solve_unit_diag_sdp(random_hermitian(n, seed), tol=1e-15, max_iters=5000, state=state)
+        assert sol.iterations == 5000
+        for key in ("z", "u"):
+            m = state[key]
+            assert np.linalg.norm(0.5 * (m - m.conj().T)) <= 1e-10 * np.linalg.norm(m)
 
 
 class TestFractionalSdp:
