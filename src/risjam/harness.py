@@ -15,7 +15,7 @@ import numpy as np
 from .channel import TWO_PI, PhaseConfig, build_channel_set
 from .link import SjnrReport, evaluate
 from .optimizer import OptimizerSettings, OptResult, lift, optimize
-from .scenario import Position3D, Scenario, ValidationError, _seed, default_scenario, linear_to_db
+from .scenario import Position3D, Scenario, ValidationError, _integer, default_scenario, linear_to_db
 
 SWEEP_VARIABLES = ("leo_distance", "ris_distance", "num_elements")
 CSV_HEADER = "variable,K,method,sjnr_db,sdp_bound_db,runtime_ms,seed"
@@ -62,7 +62,7 @@ class SweepSpec:
                     "num_elements sweep needs one RIS size per grid value"
                 )
             for v, (r, c) in zip(grid, sizes):
-                if int(v) != r * c:
+                if v != r * c:
                     raise ValidationError(
                         f"grid value {v} does not match RIS size {r}x{c}"
                     )
@@ -74,7 +74,7 @@ class SweepSpec:
             raise ValidationError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ris_sizes", sizes)
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
 
     @property
     def points(self) -> list:
@@ -115,8 +115,7 @@ def baseline_random_mean(scenario: Scenario, n_samples: int = 100, seed: int = 0
     The report's signal_w is synthesized as mean_sjnr * (mean_jam + noise)
     so the linear/power consistency of SjnrReport holds for the mean.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples!r}")
+    n_samples = _integer("n_samples", n_samples, 1)
     rng = np.random.default_rng(seed)
     phasors = np.exp(1j * rng.uniform(0.0, TWO_PI, (n_samples, scenario.num_elements)))
     lin, delta = _block_sjnr(scenario, phasors)
@@ -136,8 +135,7 @@ def oracle_exhaustive(scenario: Scenario, levels: int) -> SjnrReport:
 
     Guarded: levels**K must not exceed the evaluation budget of 1e6.
     """
-    if levels < 1:
-        raise ValidationError(f"levels must be >= 1, got {levels!r}")
+    levels = _integer("levels", levels, 1)
     k = scenario.num_elements
     if levels**k > ORACLE_BUDGET:
         raise ValidationError(

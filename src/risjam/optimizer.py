@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import ChannelSet, PhaseConfig, build_channel_set, identity_phases
 from .link import SjnrReport, effective_gains, sjnr
-from .scenario import Scenario, ValidationError, _seed, linear_to_db
+from .scenario import Scenario, ValidationError, _integer, linear_to_db
 from .sdp_core import _phase_project, extract_rank_one, solve_fractional_sdp
 
 # Gaussian randomization draws of the rank-one extraction.
@@ -82,10 +82,9 @@ class OptimizerSettings:
     inner_max_iters: int = 20000
 
     def __post_init__(self):
-        if self.inner_max_iters < 1:
-            raise ValidationError(
-                f"inner_max_iters must be >= 1, got {self.inner_max_iters!r}"
-            )
+        object.__setattr__(
+            self, "inner_max_iters", _integer("inner_max_iters", self.inner_max_iters, 1)
+        )
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -218,7 +217,7 @@ def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed
     maximizer of F(u) / (p_jam*G(u) + N) does not depend on p. A second
     round would repeat the same phase solve.
     """
-    seed = _seed(seed)
+    seed = _integer("seed", seed, 0)
     settings = settings or OptimizerSettings()
     channels = build_channel_set(scenario)
     gains = effective_gains(channels, identity_phases(scenario.num_elements))

@@ -25,10 +25,13 @@ def _number(key: str, value) -> float:
         raise ValidationError(f"{key} is out of range, got {value!r}") from exc
 
 
-def _seed(value) -> int:
-    """A random seed: numpy's generators take only non-negative integers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {value!r}")
+def _integer(name: str, value, minimum: int) -> int:
+    """A count or seed as an int; bools and integral floats are not integers.
+
+    Seeds take minimum 0: numpy's generators take only non-negative integers.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ValidationError
+from .scenario import ValidationError, _integer
 
 # Allowance for eigensolver backward error when certifying dual feasibility.
 _EIG_SAFETY = 1e-12
@@ -39,37 +39,10 @@ _MAX_STEPS = 50
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianMatrix:
-    """Dense complex Hermitian matrix; symmetrized on construction."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(float))):
-            raise ValidationError("matrix entries must be finite")
-        scale = np.linalg.norm(arr)
-        asym = np.linalg.norm(arr - arr.conj().T)
-        if asym > 1e-8 * max(1.0, scale):
-            raise ValidationError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}"
-            )
-        sym = 0.5 * (arr + arr.conj().T)
-        sym.setflags(write=False)
-        object.__setattr__(self, "entries", sym)
-
-    @property
-    def order(self) -> int:
-        return int(self.entries.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
 class SdpSolution:
-    """Certified solve result; objective is tr(C x_opt) at a feasible point."""
+    """Certified solve result; objective is tr(C x_opt) at the feasible, read-only x_opt."""
 
-    x_opt: HermitianMatrix
+    x_opt: np.ndarray
     objective: float
     duality_gap_estimate: float
     iterations: int
@@ -78,21 +51,39 @@ class SdpSolution:
 
 @dataclass(frozen=True, eq=False)
 class FractionalSolution:
-    """Dinkelbach result; ratio_opt is attained by the feasible v_opt."""
+    """Dinkelbach result; ratio_opt is attained by the feasible, read-only v_opt."""
 
-    v_opt: HermitianMatrix
+    v_opt: np.ndarray
     ratio_opt: float
     ratio_upper_bound: float
     inner_solves: int
     converged: bool
 
 
-def _as_hermitian(c) -> HermitianMatrix:
-    return c if isinstance(c, HermitianMatrix) else HermitianMatrix(c)
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
+
+
+def _hermitian(m) -> np.ndarray:
+    """A caller's matrix as a read-only symmetrized complex array.
+
+    Checked once, where it enters: square, nonempty, finite, and Hermitian
+    up to 1e-8 relative asymmetry.
+    """
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr.view(float))):
+        raise ValidationError("matrix entries must be finite")
+    scale = np.linalg.norm(arr)
+    asym = np.linalg.norm(arr - arr.conj().T)
+    if asym > 1e-8 * max(1.0, scale):
+        raise ValidationError(
+            f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}"
+        )
+    sym = _hermitize(arr)
+    sym.setflags(write=False)
+    return sym
 
 
 def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -135,26 +126,24 @@ def solve_unit_diag_sdp(
     """Maximize tr(c X) s.t. diag(X) = 1, X PSD, with a certified gap.
 
     Stops when upper - lower <= tol*(1 + |lower|). state carries the
-    splitting state (z, u, rho) across related solves: a non-empty dict
-    warm-starts the solve, and any dict is updated with the final state.
+    splitting state (z, u, rho) across related solves: each key present
+    warm-starts its part, each missing key starts cold (z = I, u = 0,
+    rho = max(||c||/n, 1e-12)), and any dict is updated with the final state.
     """
-    c = _as_hermitian(c)
+    cm = _hermitian(c)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValidationError(f"tol must be positive, got {tol!r}")
-    if max_iters < 0:
-        raise ValidationError(f"max_iters must be >= 0, got {max_iters!r}")
-    cm = c.entries
-    n = c.order
-    norm_c = float(np.linalg.norm(cm))
+    max_iters = _integer("max_iters", max_iters, 0)
+    n = cm.shape[0]
 
-    if state:
-        z = np.array(state["z"], dtype=complex)
-        u = np.array(state["u"], dtype=complex)
-        rho = float(state["rho"])
-    else:
-        z = np.eye(n, dtype=complex)
-        u = np.zeros((n, n), dtype=complex)
-        rho = max(norm_c / n, 1e-12)
+    seeded = state or {}
+    z = np.array(seeded["z"], dtype=complex) if "z" in seeded else np.eye(n, dtype=complex)
+    u = np.array(seeded["u"], dtype=complex) if "u" in seeded else np.zeros((n, n), dtype=complex)
+    rho = float(seeded["rho"]) if "rho" in seeded else max(float(np.linalg.norm(cm)) / n, 1e-12)
+    if z.shape != cm.shape or u.shape != cm.shape:
+        raise ValidationError(
+            f"state z and u must have the shape of c {cm.shape}, got {z.shape} and {u.shape}"
+        )
 
     alpha = 1.6  # over-relaxation
     best_lb = -math.inf
@@ -210,8 +199,9 @@ def solve_unit_diag_sdp(
         best_lb = _real_trace_product(cm, best_x)
     if state is not None:
         state.update({"z": z, "u": u, "rho": rho})
+    best_x.setflags(write=False)
     return SdpSolution(
-        x_opt=HermitianMatrix(best_x),
+        x_opt=best_x,
         objective=best_lb,
         duality_gap_estimate=max(0.0, best_ub - best_lb),
         iterations=iterations,
@@ -271,7 +261,6 @@ def solve_fractional_sdp(
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValidationError(f"tol must be positive, got {tol!r}")
 
-    n = w_num.size
     num = _hermitize(np.outer(w_num, w_num.conj()))
     den = _hermitize(np.outer(w_den, w_den.conj()))
     scale = (
@@ -293,20 +282,19 @@ def solve_fractional_sdp(
         return max(f, 0.0), g
 
     best_v = np.outer(start, start.conj())
+    best_v.setflags(write=False)
     f, g = ratio_parts(best_v)
     best_ratio = lam = f / g
     ratio_upper = math.inf
-    state: dict = {"z": best_v, "u": np.zeros((n, n), dtype=complex), "rho": None}
-    state["rho"] = max(float(np.linalg.norm(a - lam * b)) / n, 1e-12)
+    state: dict = {"z": best_v}
     inner_solves = 0
     converged = False
     inner_tol = _INNER_TOL
 
     for _ in range(_MAX_STEPS):
-        c_lam = HermitianMatrix(a - lam * b)
-        sol = solve_unit_diag_sdp(c_lam, tol=inner_tol, max_iters=inner_max_iters, state=state)
+        sol = solve_unit_diag_sdp(a - lam * b, tol=inner_tol, max_iters=inner_max_iters, state=state)
         inner_solves += 1
-        v = sol.x_opt.entries
+        v = sol.x_opt
         f, g = ratio_parts(v)
         if f / g > best_ratio:
             best_ratio = f / g
@@ -327,7 +315,7 @@ def solve_fractional_sdp(
 
     ratio_upper = max(ratio_upper, best_ratio)
     return FractionalSolution(
-        v_opt=HermitianMatrix(best_v),
+        v_opt=best_v,
         ratio_opt=best_ratio,
         ratio_upper_bound=ratio_upper,
         inner_solves=inner_solves,
@@ -345,13 +333,12 @@ def extract_rank_one(v, n_draws: int, seed, score) -> tuple:
     call. Returns (vector, score) for the maximum; ties keep the earliest
     column and a NaN score never wins: it counts as -inf.
     """
-    v = _as_hermitian(v)
-    if n_draws < 1:
-        raise ValidationError(f"n_draws must be >= 1, got {n_draws!r}")
-    w, q = np.linalg.eigh(v.entries)
+    v = _hermitian(v)
+    n_draws = _integer("n_draws", n_draws, 1)
+    w, q = np.linalg.eigh(v)
     root = q * np.sqrt(np.clip(w, 0.0, None))
     rng = np.random.default_rng(seed)
-    shape = (v.order, n_draws)
+    shape = (v.shape[0], n_draws)
     samples = root @ ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0))
     pool = _phase_project(np.column_stack([q[:, -1], samples]))
     scores = np.asarray(score(pool), dtype=float)

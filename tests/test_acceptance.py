@@ -117,7 +117,7 @@ def test_c05_sdp_certificates_and_analytic_cases():
         sol = solve_unit_diag_sdp(c, tol=1e-6)
         assert sol.converged, f"run {run} (n={n}) did not certify"
         assert sol.duality_gap_estimate <= 1e-6 * (1 + abs(sol.objective)) * (1 + 1e-12)
-        x = sol.x_opt.entries
+        x = sol.x_opt
         assert np.max(np.abs(np.diag(x) - 1.0)) <= 1e-8
         eigs = np.linalg.eigvalsh(x)
         assert eigs.min() >= -1e-8 * max(1.0, eigs.max())

@@ -76,6 +76,11 @@ class TestBaselines:
         with pytest.raises(ValidationError):
             baseline_random_mean(default_scenario(), n_samples=0)
 
+    @pytest.mark.parametrize("n_samples", [2.5, True])
+    def test_random_mean_rejects_non_integer_samples(self, n_samples):
+        with pytest.raises(ValidationError, match="n_samples"):
+            baseline_random_mean(default_scenario(), n_samples=n_samples)
+
 
 class TestOracle:
     def test_single_level_is_identity(self):
@@ -87,6 +92,12 @@ class TestOracle:
             oracle_exhaustive(default_scenario(), 6)  # 6**9 > 1e6
         with pytest.raises(ValidationError):
             oracle_exhaustive(default_scenario(), 0)
+
+    @pytest.mark.parametrize("levels", [2.5, True])
+    def test_rejects_non_integer_levels(self, levels):
+        # 2.5 used to search the 3-point grid 2 pi arange(2.5) / 2.5
+        with pytest.raises(ValidationError, match="levels"):
+            oracle_exhaustive(default_scenario(k_rows=1, k_cols=2), levels)
 
     def test_single_element_agrees_with_phase_subproblem(self):
         rng = np.random.default_rng(67)
@@ -154,6 +165,16 @@ class TestSweepSpec:
                 ris_sizes=((2, 2),),
                 base=default_scenario(),
             )
+
+    def test_element_grid_equals_counts_exactly(self):
+        def spec(value):
+            return SweepSpec(
+                variable="num_elements", grid=(value,), ris_sizes=((2, 2),), base=default_scenario()
+            )
+
+        with pytest.raises(ValidationError, match="does not match"):
+            spec(4.5)
+        assert spec(4.0).grid == (4.0,)
 
     def test_points_cartesian_vs_paired(self):
         spec = small_spec(ris_sizes=((2, 2), (3, 3)))

@@ -231,3 +231,8 @@ class TestSettings:
     def test_rejections(self):
         with pytest.raises(ValidationError):
             OptimizerSettings(inner_max_iters=0)
+
+    @pytest.mark.parametrize("budget", [2.5, True])
+    def test_rejects_non_integer_budget(self, budget):
+        with pytest.raises(ValidationError, match="inner_max_iters"):
+            OptimizerSettings(inner_max_iters=budget)

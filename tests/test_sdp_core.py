@@ -10,7 +10,6 @@ from risjam import ValidationError, solve_unit_diag_sdp
 from risjam.sdp_core import (
     _CHECK_EVERY,
     FractionalSolution,
-    HermitianMatrix,
     SdpSolution,
     _feasible_dual_bound,
     _feasible_primal,
@@ -37,26 +36,57 @@ def random_psd(n, seed):
     return m @ m.conj().T / n
 
 
-class TestHermitianMatrix:
+def first_column(block):
+    return -np.arange(block.shape[1], dtype=float)
+
+
+# The two public entries that take a matrix from the caller.
+ENTRIES = {
+    "solve_unit_diag_sdp": lambda m: solve_unit_diag_sdp(m, tol=1e-9),
+    "extract_rank_one": lambda m: extract_rank_one(m, 4, 0, first_column),
+}
+
+
+class TestEntryChecks:
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[1.0, 2.0], [0.0, 1.0]]),
+            np.array([[math.nan, 0.0], [0.0, 1.0]]),
+            np.ones((2, 3)),
+        ],
+        ids=["gross_asymmetry", "nonfinite", "nonsquare"],
+    )
+    def test_rejects_malformed_matrix(self, entry, m):
+        with pytest.raises(ValidationError):
+            ENTRIES[entry](m)
+
     def test_accepts_and_symmetrizes_roundoff(self):
-        base = random_hermitian(4, 0)
+        base = random_psd(4, 0) + np.eye(4)
         jittered = base + 1e-12 * np.eye(4, k=1)
-        h = HermitianMatrix(jittered)
-        assert np.allclose(h.entries, h.entries.conj().T, atol=0)
-        assert h.order == 4
+        symmetrized = 0.5 * (jittered + jittered.conj().T)
+        sol = solve_unit_diag_sdp(jittered, tol=1e-9)
+        assert np.array_equal(sol.x_opt, sol.x_opt.conj().T)
+        ref = solve_unit_diag_sdp(symmetrized, tol=1e-9)
+        assert sol.objective == ref.objective
+        assert np.array_equal(sol.x_opt, ref.x_opt)
+        vec, _ = extract_rank_one(jittered, 4, 0, first_column)
+        assert np.array_equal(vec, extract_rank_one(symmetrized, 4, 0, first_column)[0])
 
-    def test_rejects_gross_asymmetry(self):
-        m = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
-            HermitianMatrix(m)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            HermitianMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValidationError):
-            HermitianMatrix(np.ones((2, 3)))
+    def test_solutions_are_read_only_arrays(self):
+        sol = solve_unit_diag_sdp(random_hermitian(5, 1), tol=1e-9)
+        # at n = 1 the start is the only feasible point, so v_opt is its lifting
+        one = np.ones(1)
+        fractional = [
+            solve_fractional_sdp(random_vector(4, 2), random_vector(4, 3), 1.0, 1.0, 1.0, np.ones(4)),
+            solve_fractional_sdp(one, one, 1.0, 1.0, 1.0, one),
+        ]
+        for m in [sol.x_opt] + [fs.v_opt for fs in fractional]:
+            assert type(m) is np.ndarray
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 2.0
 
 
 class TestUnitDiagSdp:
@@ -64,21 +94,21 @@ class TestUnitDiagSdp:
         sol = solve_unit_diag_sdp(np.array([[5.0]]))
         assert isinstance(sol, SdpSolution)
         assert sol.objective == pytest.approx(5.0, rel=1e-9)
-        assert sol.x_opt.entries[0, 0] == pytest.approx(1.0, rel=1e-12)
+        assert sol.x_opt[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert sol.converged
 
     def test_real_exchange_matrix(self):
         c = np.array([[0.0, 1.0], [1.0, 0.0]])
         sol = solve_unit_diag_sdp(c, tol=1e-9)
         assert sol.objective == pytest.approx(2.0, abs=1e-7)
-        assert sol.x_opt.entries[0, 1] == pytest.approx(1.0, abs=1e-6)
+        assert sol.x_opt[0, 1] == pytest.approx(1.0, abs=1e-6)
 
     def test_complex_exchange_matrix(self):
         # tr(CX) reduces to 2*Im(X[0,1]); the argmax has X[0,1] = +1j
         c = np.array([[0.0, 1j], [-1j, 0.0]])
         sol = solve_unit_diag_sdp(c, tol=1e-9)
         assert sol.objective == pytest.approx(2.0, abs=1e-7)
-        assert sol.x_opt.entries[0, 1] == pytest.approx(1j, abs=1e-6)
+        assert sol.x_opt[0, 1] == pytest.approx(1j, abs=1e-6)
 
     def test_rank_one_objective_is_coherent_sum(self):
         # C = a a^H: optimum is (sum |a_k|)^2, attained by the phase vector of a
@@ -92,7 +122,7 @@ class TestUnitDiagSdp:
     def test_solution_is_feasible(self):
         c = random_hermitian(8, 3)
         sol = solve_unit_diag_sdp(c, tol=1e-8)
-        x = sol.x_opt.entries
+        x = sol.x_opt
         assert np.allclose(np.diag(x).real, 1.0, atol=1e-9)
         assert np.allclose(np.diag(x).imag, 0.0, atol=1e-12)
         eigs = np.linalg.eigvalsh(x)
@@ -109,7 +139,7 @@ class TestUnitDiagSdp:
         a = solve_unit_diag_sdp(c, tol=1e-8)
         b = solve_unit_diag_sdp(c, tol=1e-8)
         assert a.objective == b.objective
-        assert np.array_equal(a.x_opt.entries, b.x_opt.entries)
+        assert np.array_equal(a.x_opt, b.x_opt)
         assert a.iterations == b.iterations
 
     def test_iteration_cap_reports_nonconvergence(self):
@@ -118,7 +148,7 @@ class TestUnitDiagSdp:
         assert not sol.converged
         assert sol.duality_gap_estimate > 0.0
         # the feasible primal is still returned
-        assert np.allclose(np.diag(sol.x_opt.entries).real, 1.0, atol=1e-9)
+        assert np.allclose(np.diag(sol.x_opt).real, 1.0, atol=1e-9)
 
     def test_warm_start_helps(self):
         c = random_hermitian(12, 6)
@@ -128,9 +158,31 @@ class TestUnitDiagSdp:
         assert warm.iterations <= cold.iterations
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
 
+    def test_missing_state_keys_start_cold(self):
+        c = random_hermitian(6, 17)
+        p = np.exp(1j * np.random.default_rng(18).uniform(0.0, 2 * math.pi, 6))
+        z0 = np.outer(p, p.conj())
+        cold = {"u": np.zeros((6, 6), dtype=complex), "rho": max(np.linalg.norm(c) / 6, 1e-12)}
+        a = solve_unit_diag_sdp(c, tol=1e-9, state={"z": z0})
+        b = solve_unit_diag_sdp(c, tol=1e-9, state={"z": z0, **cold})
+        assert a.objective == b.objective
+        assert a.duality_gap_estimate == b.duality_gap_estimate
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.x_opt, b.x_opt)
+
+    @pytest.mark.parametrize("key", ["z", "u"])
+    def test_wrong_shape_state_rejected(self, key):
+        with pytest.raises(ValidationError, match="state"):
+            solve_unit_diag_sdp(random_hermitian(4, 19), state={key: np.eye(3)})
+
     def test_bad_tol_rejected(self):
         with pytest.raises(ValidationError):
             solve_unit_diag_sdp(np.eye(2), tol=0.0)
+
+    @pytest.mark.parametrize("max_iters", [2.5, True, -1])
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValidationError, match="max_iters"):
+            solve_unit_diag_sdp(np.eye(2), max_iters=max_iters)
 
     def test_dominates_every_feasible_point_on_small_grid(self):
         # n = 2 feasible set is X = [[1, z], [z*, 1]] with |z| <= 1
@@ -275,7 +327,7 @@ class TestFractionalSdp:
 def reference_extract(v, n_draws, seed, score_one):
     """The pool built and scored one candidate at a time; the first strict
     maximum wins and a NaN score is skipped."""
-    v = HermitianMatrix(v).entries
+    v = 0.5 * (v + v.conj().T)
     w, q = np.linalg.eigh(v)
     root = q * np.sqrt(np.clip(w, 0.0, None))
     rng = np.random.default_rng(seed)
@@ -380,3 +432,8 @@ class TestExtraction:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValidationError):
             extract_rank_one(np.eye(2), 0, 0, lambda c: 0.0)
+
+    @pytest.mark.parametrize("n_draws", [2.5, True])
+    def test_rejects_non_integer_draws(self, n_draws):
+        with pytest.raises(ValidationError, match="n_draws"):
+            extract_rank_one(np.eye(2), n_draws, 0, first_column)
