@@ -116,7 +116,7 @@ def baseline_random_mean(scenario: Scenario, n_samples: int = 100, seed: int = 0
     so the linear/power consistency of SjnrReport holds for the mean.
     """
     n_samples = _integer("n_samples", n_samples, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     phasors = np.exp(1j * rng.uniform(0.0, TWO_PI, (n_samples, scenario.num_elements)))
     lin, delta = _block_sjnr(scenario, phasors)
     mean_lin = float(np.mean(lin))

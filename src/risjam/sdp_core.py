@@ -4,7 +4,9 @@ solve_unit_diag_sdp maximizes tr(C X) over {X Hermitian, X >= 0 (PSD),
 diag(X) = 1} with ADMM operator splitting: an affine projection (pin the
 diagonal) alternates with a PSD projection (dense eigendecomposition).
 Convergence is declared only through a certified optimality gap that is
-valid at any iterate:
+valid at any iterate. It is checked at the start, at iterations 1, 2, 4, 8
+and 16, and then at every multiple of 25, so a solve that is certifiable
+early stops early:
 
   lower bound: tr(C X_hat) at the exactly feasible X_hat = S Z S,
                S = diag(1/sqrt(diag Z));
@@ -31,7 +33,8 @@ from .scenario import ValidationError, _integer
 
 # Allowance for eigensolver backward error when certifying dual feasibility.
 _EIG_SAFETY = 1e-12
-# ADMM iterations between certificate checks.
+# ADMM iterations between certificate checks; below it, checks also run at
+# the powers of two, so a solve first certifiable at t < 16 stops by 2t.
 _CHECK_EVERY = 25
 # Starting inner-SDP tolerance and step cap of the Dinkelbach iteration.
 _INNER_TOL = 1e-7
@@ -125,9 +128,11 @@ def solve_unit_diag_sdp(
 ) -> SdpSolution:
     """Maximize tr(c X) s.t. diag(X) = 1, X PSD, with a certified gap.
 
-    Stops when upper - lower <= tol*(1 + |lower|). state carries the
-    splitting state (z, u, rho) across related solves: each key present
-    warm-starts its part, each missing key starts cold (z = I, u = 0,
+    Stops when upper - lower <= tol*(1 + |lower|), tested at the start, at
+    iterations 1, 2, 4, 8 and 16, at every multiple of _CHECK_EVERY and at
+    max_iters. state carries the splitting state (z, u, rho) across related
+    solves: each key present warm-starts its part (a seeded rho must be
+    finite and > 0), each missing key starts cold (z = I, u = 0,
     rho = max(||c||/n, 1e-12)), and any dict is updated with the final state.
     """
     cm = _hermitian(c)
@@ -144,6 +149,8 @@ def solve_unit_diag_sdp(
         raise ValidationError(
             f"state z and u must have the shape of c {cm.shape}, got {z.shape} and {u.shape}"
         )
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise ValidationError(f"state rho must be finite and > 0, got {rho!r}")
 
     alpha = 1.6  # over-relaxation
     best_lb = -math.inf
@@ -188,7 +195,8 @@ def solve_unit_diag_sdp(
                     u *= 2.0
                     c_rho = cm / rho
             z = z_new
-            if it % _CHECK_EVERY == 0 and certify():
+            checkpoint = it % _CHECK_EVERY == 0 or (it < _CHECK_EVERY and it & (it - 1) == 0)
+            if checkpoint and certify():
                 converged = True
                 break
         else:
@@ -335,6 +343,7 @@ def extract_rank_one(v, n_draws: int, seed, score) -> tuple:
     """
     v = _hermitian(v)
     n_draws = _integer("n_draws", n_draws, 1)
+    seed = _integer("seed", seed, 0)
     w, q = np.linalg.eigh(v)
     root = q * np.sqrt(np.clip(w, 0.0, None))
     rng = np.random.default_rng(seed)

@@ -1,8 +1,13 @@
 """Shared fixtures: randomized but always-valid scenario geometries."""
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from risjam import Position3D, Scenario, db_to_linear, noise_power_from
+
+# Property tests draw the same examples on every run.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def make_random_scenario(rng: np.random.Generator, k_rows=None, k_cols=None, **overrides) -> Scenario:

@@ -81,6 +81,11 @@ class TestBaselines:
         with pytest.raises(ValidationError, match="n_samples"):
             baseline_random_mean(default_scenario(), n_samples=n_samples)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_random_mean_rejects_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            baseline_random_mean(default_scenario(), seed=seed)
+
 
 class TestOracle:
     def test_single_level_is_identity(self):

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from risjam import ValidationError, solve_unit_diag_sdp
+from risjam import (
+    OptimizerSettings,
+    ValidationError,
+    build_channel_set,
+    default_scenario,
+    lift,
+    optimize_phases,
+    solve_unit_diag_sdp,
+)
+from risjam import sdp_core
 from risjam.sdp_core import (
     _CHECK_EVERY,
     FractionalSolution,
@@ -179,6 +188,11 @@ class TestUnitDiagSdp:
         with pytest.raises(ValidationError):
             solve_unit_diag_sdp(np.eye(2), tol=0.0)
 
+    @pytest.mark.parametrize("rho", [0.0, math.nan, math.inf, -1.0])
+    def test_bad_seeded_rho_rejected(self, rho):
+        with pytest.raises(ValidationError, match="rho"):
+            solve_unit_diag_sdp(np.array([[1.0, 0.5], [0.5, 2.0]]), state={"rho": rho})
+
     @pytest.mark.parametrize("max_iters", [2.5, True, -1])
     def test_non_integer_max_iters_rejected(self, max_iters):
         with pytest.raises(ValidationError, match="max_iters"):
@@ -194,15 +208,17 @@ class TestUnitDiagSdp:
         assert sol.objective >= vals.max() - 1e-6
 
 
-def reference_sdp(c, tol, max_iters=20000):
+def reference_sdp(c, tol, max_iters=20000, z=None, early_checks=True):
     """The splitting step with every iterate explicitly symmetrized.
 
-    Same ADMM as solve_unit_diag_sdp from a cold start: over-relaxation 1.6,
-    rho balancing every 10 steps, a certificate every _CHECK_EVERY steps.
-    Returns (objective, gap, iterations, converged).
+    Same ADMM as solve_unit_diag_sdp from a cold start, or from a given z
+    with u and rho cold: over-relaxation 1.6, rho balancing every 10 steps,
+    a certificate at the start, at iterations 1, 2, 4, 8 and 16, every
+    _CHECK_EVERY steps and at max_iters. early_checks=False drops the
+    checks at 1 to 16. Returns (objective, gap, iterations, converged).
     """
     n = c.shape[0]
-    z = np.eye(n, dtype=complex)
+    z = np.eye(n, dtype=complex) if z is None else np.array(z, dtype=complex)
     u = np.zeros((n, n), dtype=complex)
     rho = max(float(np.linalg.norm(c)) / n, 1e-12)
     alpha = 1.6
@@ -234,7 +250,8 @@ def reference_sdp(c, tol, max_iters=20000):
                 rho /= 2.0
                 u = u * 2.0
         z = z_new
-        if it % _CHECK_EVERY == 0 or it == max_iters:
+        early = early_checks and it in (1, 2, 4, 8, 16)
+        if early or it % _CHECK_EVERY == 0 or it == max_iters:
             converged = certify()
     return lb, max(0.0, ub - lb), it, converged
 
@@ -260,6 +277,60 @@ class TestUnsymmetrizedStep:
         for key in ("z", "u"):
             m = state[key]
             assert np.linalg.norm(0.5 * (m - m.conj().T)) <= 1e-10 * np.linalg.norm(m)
+
+
+class _FirstStepDone(Exception):
+    pass
+
+
+def first_inner_solve(monkeypatch, k_rows, k_cols):
+    """(c, tol, z, solution) of the first inner solve that optimize_phases
+    runs on the lifted default scenario; z is the Dinkelbach start."""
+    seen = []
+
+    def spy(c, tol, max_iters, state):
+        z = np.array(state["z"])
+        seen.append((c, tol, z, solve_unit_diag_sdp(c, tol=tol, max_iters=max_iters, state=state)))
+        raise _FirstStepDone
+
+    monkeypatch.setattr(sdp_core, "solve_unit_diag_sdp", spy)
+    sc = default_scenario(k_rows=k_rows, k_cols=k_cols)
+    with pytest.raises(_FirstStepDone):
+        optimize_phases(lift(build_channel_set(sc), sc), OptimizerSettings(), seed=0)
+    return seen[0]
+
+
+class TestCheckSchedule:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cold_solve_stops_no_later_than_every_25_only(self, seed):
+        n = 2 + (seed * 24) // 19  # n = 2 ... 26
+        c = random_hermitian(n, 300 + seed)
+        sol = solve_unit_diag_sdp(c, tol=1e-9)
+        _, _, late_iterations, late_converged = reference_sdp(c, tol=1e-9, early_checks=False)
+        assert sol.converged and late_converged
+        assert sol.iterations <= late_iterations
+
+    @pytest.mark.parametrize("k_rows, k_cols", [(3, 3), (5, 5)])
+    def test_lifted_first_step_stops_no_later_than_every_25_only(self, monkeypatch, k_rows, k_cols):
+        # a cold start stalls above tol on these C, so both start from the Dinkelbach z
+        c, tol, z, sol = first_inner_solve(monkeypatch, k_rows, k_cols)
+        _, _, late_iterations, late_converged = reference_sdp(c, tol, z=z, early_checks=False)
+        assert sol.converged and late_converged
+        assert sol.iterations <= late_iterations
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("tol, max_iters", [(1e-9, 20000), (1e-12, 37)])
+    def test_cold_solve_stops_at_a_checkpoint(self, seed, tol, max_iters):
+        n = 2 + (seed * 24) // 19
+        sol = solve_unit_diag_sdp(random_hermitian(n, 300 + seed), tol=tol, max_iters=max_iters)
+        it = sol.iterations
+        assert it in (0, 1, 2, 4, 8, 16) or it % _CHECK_EVERY == 0 or it == max_iters
+
+    def test_default_first_step_stops_early(self, monkeypatch):
+        # certified at iteration 2; checks only every _CHECK_EVERY ran it to 125
+        _, _, _, sol = first_inner_solve(monkeypatch, 3, 3)
+        assert sol.converged
+        assert sol.iterations <= 16
 
 
 class TestFractionalSdp:
@@ -432,6 +503,11 @@ class TestExtraction:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValidationError):
             extract_rank_one(np.eye(2), 0, 0, lambda c: 0.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            extract_rank_one(np.eye(2), 4, seed, first_column)
 
     @pytest.mark.parametrize("n_draws", [2.5, True])
     def test_rejects_non_integer_draws(self, n_draws):
