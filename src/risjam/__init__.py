@@ -21,7 +21,6 @@ from .optimizer import (
     lift,
     optimize,
     optimize_phases,
-    optimize_power,
 )
 from .harness import (
     CSV_HEADER,
@@ -68,7 +67,6 @@ __all__ = [
     "noise_power_from",
     "optimize",
     "optimize_phases",
-    "optimize_power",
     "oracle_exhaustive",
     "run_sweep",
     "scenario_from_config",

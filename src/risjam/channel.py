@@ -120,19 +120,25 @@ class ChannelSet:
 
 
 def _los_gain(
-    scenario: Scenario, pos_from: Position3D, pos_to: Position3D, alpha: float
+    scenario: Scenario, pos_from: Position3D, pos_to: Position3D, alpha_key: str
 ) -> complex:
-    """Scalar LoS gain sqrt(rho*d**-alpha) * exp(-j*2*pi*d/lambda)."""
+    """Scalar LoS gain sqrt(rho*d**-alpha) * exp(-j*2*pi*d/lambda), alpha = scenario.<alpha_key>."""
     d = distance(pos_from, pos_to)
     if d <= 0.0:
         raise ValidationError("a LoS link requires distinct endpoints")
-    magnitude = math.sqrt(scenario.rho * d ** (-alpha))
+    alpha = getattr(scenario, alpha_key)
+    try:
+        magnitude = math.sqrt(scenario.rho * d ** (-alpha))
+    except OverflowError:
+        magnitude = math.inf
+    if not math.isfinite(magnitude):
+        raise ValidationError(f"{alpha_key} = {alpha!r} overflows the path gain at {d:g} m")
     return magnitude * cmath.exp(-1j * TWO_PI * d / scenario.wavelength)
 
 
 def direct_channel(scenario: Scenario, pos_from: Position3D, pos_to: Position3D) -> complex:
     """Direct satellite-to-user gain: the LoS template with exponent alpha_d."""
-    return _los_gain(scenario, pos_from, pos_to, scenario.alpha_direct)
+    return _los_gain(scenario, pos_from, pos_to, "alpha_direct")
 
 
 def steering_vector(
@@ -165,7 +171,7 @@ def ris_link_channel(scenario: Scenario, far_node: Position3D) -> np.ndarray:
     the common amplitude sqrt(rho*d**-alpha_r) and the bulk propagation
     phase exp(-j*2*pi*d/lambda) measured at element 0 (far field).
     """
-    h0 = _los_gain(scenario, far_node, scenario.pos_ris, scenario.alpha_ris)
+    h0 = _los_gain(scenario, far_node, scenario.pos_ris, "alpha_ris")
     steer = steering_vector(
         aoa_angles(far_node, scenario.pos_ris),
         scenario.k_rows,

@@ -33,11 +33,10 @@ def _load_phases(path: str) -> PhaseConfig:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read phases {path}: {exc}") from exc
     if isinstance(data, dict):
-        data = data.get("phases_rad", data.get("thetas_rad"))
+        data = data.get("phases_rad")
     if not isinstance(data, list):
         raise ValidationError(
-            "phases file must be a JSON list of radians or an object with "
-            "a phases_rad/thetas_rad list"
+            "phases file must be a JSON list of radians or an object with a phases_rad list"
         )
     return PhaseConfig([_number(f"phases[{i}] in {path}", t) for i, t in enumerate(data)])
 
@@ -57,7 +56,7 @@ def _cmd_eval(args) -> int:
 def _cmd_optimize(args) -> int:
     scenario = load_config(args.config)
     result = optimize(scenario, OptimizerSettings(args.inner_max_iters), seed=args.seed)
-    print(json.dumps(result.to_json_dict(include_trace=args.dump_trace), indent=2))
+    print(json.dumps(result.to_json_dict(), indent=2))
     return 0 if result.converged else 3
 
 
@@ -126,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="jointly optimize power and phases")
     p_opt.add_argument("--config", required=True)
     p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--dump-trace", action="store_true",
-                       help="include the SJNR trace (identity start, result) in the JSON")
     p_opt.add_argument("--inner-max-iters", type=int,
                        default=OptimizerSettings.inner_max_iters)
     p_opt.set_defaults(func=_cmd_optimize)

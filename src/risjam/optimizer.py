@@ -1,24 +1,23 @@
 """Joint transmit-power and RIS-phase optimization.
 
 The SJNR is strictly increasing in transmit power for fixed phases, so the
-power subproblem's optimum is the cap. The phase subproblem lifts the
+transmit power is the cap. The phase subproblem lifts the
 unit-modulus phase vector (with a trailing homogenization slot fixed to 1)
 so both total path gains become rank-one quadratic forms, relaxes to a
 unit-diagonal PSD program, solves the fractional SDP by Dinkelbach
 iteration, and recovers feasible phases by scored rank-one extraction.
 The identity phases and the transmitter-aligned phases are scored once,
 seed the solver, and stay in the candidate pool. The phase maximizer does
-not depend on the power, so one power step and one phase solve reach the
-fixed point of alternating optimization.
+not depend on the power, so one phase solve at the cap reaches the fixed
+point of alternating optimization.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, PhaseConfig, build_channel_set, identity_phases
+from .channel import ChannelSet, PhaseConfig, build_channel_set
 from .link import SjnrReport, effective_gains, sjnr
 from .scenario import Scenario, ValidationError, _integer, linear_to_db
 from .sdp_core import _phase_project, extract_rank_one, solve_fractional_sdp
@@ -33,7 +32,8 @@ class LiftedProblem:
 
     w_tx / w_jam are the rank-one factors: for a unit-modulus candidate u
     with trailing slot 1, |w^H u|^2 equals |h_direct + h_cascade|^2 of the
-    corresponding satellite exactly, so the lifted forms are w w^H.
+    corresponding satellite exactly, so the lifted forms are w w^H. Only
+    lift builds it, from a validated Scenario and ChannelSet.
     """
 
     w_tx: np.ndarray
@@ -41,24 +41,6 @@ class LiftedProblem:
     p_tx: float
     p_jam: float
     noise_power: float
-
-    def __post_init__(self):
-        for name in ("w_tx", "w_jam"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValidationError(f"{name} must be a nonempty 1-D array")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.w_tx.shape != self.w_jam.shape:
-            raise ValidationError(
-                f"lifted orders differ: {self.w_tx.size} vs {self.w_jam.size}"
-            )
-        if not (math.isfinite(self.p_tx) and self.p_tx > 0.0):
-            raise ValidationError(f"p_tx must be > 0, got {self.p_tx!r}")
-        if not (math.isfinite(self.p_jam) and self.p_jam >= 0.0):
-            raise ValidationError(f"p_jam must be >= 0, got {self.p_jam!r}")
-        if not (math.isfinite(self.noise_power) and self.noise_power > 0.0):
-            raise ValidationError(f"noise_power must be > 0, got {self.noise_power!r}")
 
     @property
     def order(self) -> int:
@@ -104,44 +86,34 @@ class PhaseSolveResult:
 class OptResult:
     """Joint power/phase outcome for one scenario and seed.
 
-    sjnr_trace is (identity-phase report, report of the phase solve's
-    pick). The identity phases are in that solve's candidate pool, so the
-    trace is nondecreasing up to the rounding between the lifted and the
-    link-path evaluation. converged is the phase solve's certificate flag.
+    p_tx is the power cap. final_report is the link-path SJNR of the phase
+    solve's pick, and converged is that solve's certificate flag.
     """
 
     phases: PhaseConfig
     p_tx: float
-    sjnr_trace: tuple
+    final_report: SjnrReport
     sdp_bound: float
     converged: bool
     seed: int
     settings: OptimizerSettings
 
-    @property
-    def final_report(self) -> SjnrReport:
-        return self.sjnr_trace[-1]
+    # One phase solve is the fixed point, so this is always 1. Read by the
+    # benchmark's tracer (bench/tracing.py, _optimize_counts).
+    outer_iterations = 1
 
-    @property
-    def outer_iterations(self) -> int:
-        return len(self.sjnr_trace) - 1
-
-    def to_json_dict(self, include_trace: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "phases_rad": [float(t) for t in self.phases.thetas],
             "p_tx_w": self.p_tx,
             "sjnr_linear": self.final_report.sjnr_linear,
             "sjnr_db": self.final_report.sjnr_db,
             "sdp_bound_linear": self.sdp_bound,
             "sdp_bound_db": linear_to_db(self.sdp_bound),
-            "outer_iterations": self.outer_iterations,
             "converged": self.converged,
             "seed": self.seed,
             "settings": self.settings.to_json_dict(),
         }
-        if include_trace:
-            out["sjnr_trace"] = [r.to_json_dict() for r in self.sjnr_trace]
-        return out
 
 
 def lift(channels: ChannelSet, scenario: Scenario) -> LiftedProblem:
@@ -164,13 +136,6 @@ def lift(channels: ChannelSet, scenario: Scenario) -> LiftedProblem:
         p_jam=scenario.p_jam,
         noise_power=scenario.noise_power,
     )
-
-
-def optimize_power(gains, p_max: float) -> float:
-    """The SJNR is nondecreasing in transmit power, so the cap is optimal."""
-    if not (math.isfinite(p_max) and p_max > 0.0):
-        raise ValidationError(f"p_max must be > 0, got {p_max!r}")
-    return p_max
 
 
 def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) -> PhaseSolveResult:
@@ -209,7 +174,7 @@ def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) ->
 
 
 def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed: int = 0) -> OptResult:
-    """Power at the cap and one phase solve, reported against identity.
+    """Power at the cap and one phase solve, evaluated on the link path.
 
     This is alternating optimization run to its fixed point: for fixed
     phases the SJNR p*F(u) / (p_jam*G(u) + N) increases in p, so the power
@@ -220,17 +185,13 @@ def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed
     seed = _integer("seed", seed, 0)
     settings = settings or OptimizerSettings()
     channels = build_channel_set(scenario)
-    gains = effective_gains(channels, identity_phases(scenario.num_elements))
-    p_tx = optimize_power(gains, scenario.p_tx_max)
-    start = sjnr(gains, p_tx, scenario.p_jam, scenario.noise_power)
     ps = optimize_phases(lift(channels, scenario), settings, seed)
-    best = sjnr(
-        effective_gains(channels, ps.phases), p_tx, scenario.p_jam, scenario.noise_power
-    )
+    gains = effective_gains(channels, ps.phases)
+    best = sjnr(gains, scenario.p_tx_max, scenario.p_jam, scenario.noise_power)
     return OptResult(
         phases=ps.phases,
-        p_tx=p_tx,
-        sjnr_trace=(start, best),
+        p_tx=scenario.p_tx_max,
+        final_report=best,
         sdp_bound=max(ps.sdp_bound, best.sjnr_linear),
         converged=ps.converged,
         seed=seed,

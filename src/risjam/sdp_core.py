@@ -131,8 +131,8 @@ def solve_unit_diag_sdp(
     Stops when upper - lower <= tol*(1 + |lower|), tested at the start, at
     iterations 1, 2, 4, 8 and 16, at every multiple of _CHECK_EVERY and at
     max_iters. state carries the splitting state (z, u, rho) across related
-    solves: each key present warm-starts its part (a seeded rho must be
-    finite and > 0), each missing key starts cold (z = I, u = 0,
+    solves: each key present warm-starts its part (seeded values must be
+    finite, rho > 0), each missing key starts cold (z = I, u = 0,
     rho = max(||c||/n, 1e-12)), and any dict is updated with the final state.
     """
     cm = _hermitian(c)
@@ -151,6 +151,8 @@ def solve_unit_diag_sdp(
         )
     if not (rho > 0.0 and math.isfinite(rho)):
         raise ValidationError(f"state rho must be finite and > 0, got {rho!r}")
+    if not (np.isfinite(z).all() and np.isfinite(u).all()):
+        raise ValidationError("state z and u must be finite")
 
     alpha = 1.6  # over-relaxation
     best_lb = -math.inf

@@ -252,6 +252,11 @@ class TestBuildChannelSet:
         assert np.all(ch.h_ris_ue == 0)
         assert ch.h_tx_ue != 0
 
+    @pytest.mark.parametrize("key, alpha", [("alpha_direct", -200.0), ("alpha_ris", -300.0)])
+    def test_overflowing_exponent_names_its_key(self, key, alpha):
+        with pytest.raises(ValidationError, match=key):
+            build_channel_set(default_scenario(**{key: alpha}))
+
     def test_json_dump_shape(self):
         ch = build_channel_set(default_scenario(k_rows=1, k_cols=2))
         d = ch.to_json_dict()

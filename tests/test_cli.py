@@ -145,6 +145,28 @@ class TestEval:
         )
         assert code == 2
 
+    def test_thetas_rad_key_exits_2(self, capsys, config_path, tmp_path):
+        ppath = tmp_path / "phases.json"
+        ppath.write_text(json.dumps({"thetas_rad": [0.0, 0.0, 0.0, 0.0]}))
+        code, out, err = run_cli(
+            capsys, ["eval", "--config", config_path, "--phases", str(ppath)]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "phases_rad" in err
+
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    @pytest.mark.parametrize(
+        "config, key", [({"alpha_direct": -200}, "alpha_direct"), ({"alpha_ris": -300}, "alpha_ris")]
+    )
+    def test_overflowing_path_loss_exits_2(self, capsys, tmp_path, command, config, key):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and key in err
+
 
 class TestOptimize:
     def test_success_and_payload(self, capsys, config_path):
@@ -169,13 +191,11 @@ class TestOptimize:
         assert out_a == out_b
 
     def test_dump_trace(self, capsys, config_path):
-        code, out, _ = run_cli(
-            capsys, ["optimize", "--config", config_path, "--dump-trace"]
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert isinstance(payload["sjnr_trace"], list)
-        assert len(payload["sjnr_trace"]) == payload["outer_iterations"] + 1
+        # the flag is gone: argparse rejects it as a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", config_path, "--dump-trace"])
+        assert exc.value.code == 2
+        assert "--dump-trace" in capsys.readouterr().err
 
     def test_budget_exhaustion_exits_3_with_output(self, capsys, stall_config_path):
         code, out, _ = run_cli(

@@ -193,6 +193,15 @@ class TestUnitDiagSdp:
         with pytest.raises(ValidationError, match="rho"):
             solve_unit_diag_sdp(np.array([[1.0, 0.5], [0.5, 2.0]]), state={"rho": rho})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["z", "u"])
+    def test_non_finite_seeded_state_rejected(self, key, bad):
+        exchange = np.array([[0.0, 1.0], [1.0, 0.0]])
+        off_diagonal = np.array([[1.0, bad], [bad, 1.0]])
+        for seeded in (off_diagonal, np.full((2, 2), bad)):
+            with pytest.raises(ValidationError, match="state z and u must be finite"):
+                solve_unit_diag_sdp(exchange, state={key: seeded})
+
     @pytest.mark.parametrize("max_iters", [2.5, True, -1])
     def test_non_integer_max_iters_rejected(self, max_iters):
         with pytest.raises(ValidationError, match="max_iters"):
