@@ -133,6 +133,8 @@ def _los_gain(
         magnitude = math.inf
     if not math.isfinite(magnitude):
         raise ValidationError(f"{alpha_key} = {alpha!r} overflows the path gain at {d:g} m")
+    if magnitude == 0.0:
+        raise ValidationError(f"{alpha_key} = {alpha!r} underflows the path gain at {d:g} m")
     return magnitude * cmath.exp(-1j * TWO_PI * d / scenario.wavelength)
 
 

@@ -2,7 +2,10 @@
 
 solve_unit_diag_sdp maximizes tr(C X) over {X Hermitian, X >= 0 (PSD),
 diag(X) = 1} with ADMM operator splitting: an affine projection (pin the
-diagonal) alternates with a PSD projection (dense eigendecomposition).
+diagonal) alternates with a PSD projection. From order _SPLIT_MIN_ORDER
+up, the projection is a rank-one correction certified by a Cholesky
+factorization whenever one side of the spectrum holds a single eigenvalue,
+which is the common case; otherwise it is a dense eigendecomposition.
 Convergence is declared only through a certified optimality gap that is
 valid at any iterate. It is checked at the start, at iterations 1, 2, 4, 8
 and 16, and then at every multiple of 25, so a solve that is certifiable
@@ -36,6 +39,9 @@ _EIG_SAFETY = 1e-12
 # ADMM iterations between certificate checks; below it, checks also run at
 # the powers of two, so a solve first certifiable at t < 16 stops by 2t.
 _CHECK_EVERY = 25
+# Smallest order whose PSD projection tries the rank-one split before eigh;
+# below it a dense eigh is faster (measured on a 2-vCPU x86-64 host).
+_SPLIT_MIN_ORDER = 12
 # Starting inner-SDP tolerance and step cap of the Dinkelbach iteration.
 _INNER_TOL = 1e-7
 _MAX_STEPS = 50
@@ -120,6 +126,49 @@ def _feasible_dual_bound(c: np.ndarray, rho: float, u: np.ndarray) -> float:
     return float(np.sum(y) + len(y) * mu)
 
 
+def _psd_split(m: np.ndarray, lone):
+    """(P(m), m - P(m), lone') with P the projection onto the PSD cone.
+
+    lone is None or (v, negative): an estimate v of the eigenvector of the
+    single eigenvalue on m's negative (or, if not negative, positive) side.
+    Then one Rayleigh-quotient step refines v, the lone part is lam v v^H
+    with lam = v^H m v, and a Cholesky factorization of the other part,
+    shifted by _EIG_SAFETY*||m||, certifies that it is semidefinite; the two
+    parts are trace-orthogonal by the choice of lam, so they are the two
+    projections. Otherwise (no estimate, lam of the wrong sign, or a failed
+    factorization) a dense eigh splits m, and at orders of at least
+    _SPLIT_MIN_ORDER it seeds lone' for the next call when one side of the
+    spectrum holds a single eigenvalue.
+    """
+    n = m.shape[0]
+    if lone is not None:
+        v, negative = lone
+        idx = np.arange(n)
+        try:
+            shifted = m.copy()
+            shifted[idx, idx] -= np.vdot(v, m @ v).real
+            v = np.linalg.solve(shifted, v)
+            v /= np.linalg.norm(v)
+            lam = np.vdot(v, m @ v).real
+            if (lam < 0.0) if negative else (lam > 0.0):
+                part = lam * np.outer(v, v.conj())
+                rest = m - part
+                side = rest.copy() if negative else -rest
+                side[idx, idx] += _EIG_SAFETY * np.linalg.norm(m)
+                np.linalg.cholesky(side)
+                return (rest, part, (v, True)) if negative else (part, rest, (v, False))
+        except np.linalg.LinAlgError:
+            pass
+    w, q = np.linalg.eigh(m)
+    lone = None
+    if n >= _SPLIT_MIN_ORDER:
+        n_neg = int(np.count_nonzero(w < 0.0))
+        lone = (q[:, 0], True) if n_neg == 1 else (q[:, -1], False) if n_neg == n - 1 else None
+    np.maximum(w, 0.0, out=w)
+    z = (q * w) @ q.conj().T
+    return z, m - z, lone
+
+
 def solve_unit_diag_sdp(
     c,
     tol: float = 1e-7,
@@ -134,6 +183,9 @@ def solve_unit_diag_sdp(
     solves: each key present warm-starts its part (seeded values must be
     finite, rho > 0), each missing key starts cold (z = I, u = 0,
     rho = max(||c||/n, 1e-12)), and any dict is updated with the final state.
+    Each iteration projects onto the PSD cone with _psd_split, which skips
+    the dense eigh at order >= _SPLIT_MIN_ORDER while the iterate keeps a
+    single eigenvalue on one side of its spectrum.
     """
     cm = _hermitian(c)
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -171,20 +223,20 @@ def solve_unit_diag_sdp(
 
     # The iterates are not symmetrized: eigh reads only the lower triangle
     # of m, and the anti-Hermitian rounding carried in u is scaled by
-    # 1 - alpha each step, so it stays at rounding level.
+    # 1 - alpha each step, so it stays at rounding level. A rank-one split
+    # with a lone negative eigenvalue leaves that rounding in z instead,
+    # which carries it unscaled, so it grows only by the new rounding.
     converged = certify()
     if not converged:
         diag = np.arange(n)
         c_rho = cm / rho
+        lone = None  # (eigenvector, side) of a single eigenvalue on one side of m
         for it in range(1, max_iters + 1):
             iterations = it
             x = z - u + c_rho
             x[diag, diag] = 1.0
             m = alpha * x + (1.0 - alpha) * z + u
-            w, q = np.linalg.eigh(m)
-            np.maximum(w, 0.0, out=w)
-            z_new = (q * w) @ q.conj().T
-            u = m - z_new
+            z_new, u, lone = _psd_split(m, lone)
             if it % 10 == 0:
                 pri = float(np.linalg.norm(x - z_new))
                 dua = rho * float(np.linalg.norm(z_new - z))

@@ -257,6 +257,11 @@ class TestBuildChannelSet:
         with pytest.raises(ValidationError, match=key):
             build_channel_set(default_scenario(**{key: alpha}))
 
+    @pytest.mark.parametrize("key", ["alpha_direct", "alpha_ris"])
+    def test_underflowing_exponent_names_its_key(self, key):
+        with pytest.raises(ValidationError, match=f"{key} = 300.0 underflows"):
+            build_channel_set(default_scenario(**{key: 300.0}))
+
     def test_json_dump_shape(self):
         ch = build_channel_set(default_scenario(k_rows=1, k_cols=2))
         d = ch.to_json_dict()

@@ -167,6 +167,19 @@ class TestEval:
         assert out == ""
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("command", ["eval", "optimize"])
+    @pytest.mark.parametrize(
+        "config, key", [({"alpha_direct": 300}, "alpha_direct"), ({"alpha_ris": 300}, "alpha_ris")]
+    )
+    def test_underflowing_path_loss_exits_2(self, capsys, tmp_path, command, config, key):
+        # a zero path gain printed "sjnr_db": -Infinity with exit 0
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and key in err and "underflows" in err
+
 
 class TestOptimize:
     def test_success_and_payload(self, capsys, config_path):

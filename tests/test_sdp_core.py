@@ -18,11 +18,14 @@ from risjam import (
 from risjam import sdp_core
 from risjam.sdp_core import (
     _CHECK_EVERY,
+    _EIG_SAFETY,
+    _SPLIT_MIN_ORDER,
     FractionalSolution,
     SdpSolution,
     _feasible_dual_bound,
     _feasible_primal,
     _hermitize,
+    _psd_split,
     extract_rank_one,
     solve_fractional_sdp,
 )
@@ -340,6 +343,104 @@ class TestCheckSchedule:
         _, _, _, sol = first_inner_solve(monkeypatch, 3, 3)
         assert sol.converged
         assert sol.iterations <= 16
+
+
+def lone_sided(n, seed, negative, flips=1):
+    """(m, q): a random Hermitian m whose negative (or, if not negative,
+    positive) side holds the `flips` eigenpairs in q's first columns."""
+    w, q = np.linalg.eigh(random_hermitian(n, seed))
+    w = np.abs(w) if negative else -np.abs(w)
+    w[:flips] *= -1.0
+    return _hermitize((q * w) @ q.conj().T), q
+
+
+def eigh_projection(m):
+    w, q = np.linalg.eigh(m)
+    return (q * np.clip(w, 0.0, None)) @ q.conj().T
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts the np.linalg.eigh calls made after the fixture is set up."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape[0])
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+class TestPsdSplit:
+    @pytest.mark.parametrize("negative", [True, False], ids=["negative", "positive"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_one_split_is_the_projection(self, seed, negative, eigh_calls):
+        n = 12 + (seed * 89) // 19  # n = 12 ... 101
+        m, q = lone_sided(n, 500 + seed, negative)
+        scale = np.linalg.norm(m)
+        # the estimate an ADMM step passes on: the lone eigenvector of a nearby iterate
+        nearby = m + 1e-6 * scale * random_hermitian(n, 600 + seed) / n
+        _, q_near = np.linalg.eigh(nearby)
+        estimate = q_near[:, 0] if negative else q_near[:, -1]
+        projection = eigh_projection(m)
+        del eigh_calls[:]
+        z, u, lone = _psd_split(m, (estimate, negative))
+        assert eigh_calls == []
+        assert np.linalg.norm(z - projection) <= 1e-12 * scale
+        assert np.linalg.norm(u - (m - projection)) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(z)[0] >= -_EIG_SAFETY * scale
+        assert np.linalg.eigvalsh(u)[-1] <= _EIG_SAFETY * scale
+        assert lone[1] == negative
+        assert abs(np.vdot(lone[0], q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("negative", [True, False], ids=["negative", "positive"])
+    @pytest.mark.parametrize("n", [12, 40, 101])
+    def test_minority_side_of_two_falls_back(self, n, negative, eigh_calls):
+        m, q = lone_sided(n, n, negative, flips=2)
+        projection = eigh_projection(m)
+        del eigh_calls[:]
+        z, u, lone = _psd_split(m, (q[:, 0], negative))
+        assert eigh_calls == [n]
+        scale = np.linalg.norm(m)
+        assert np.linalg.norm(z - projection) <= 1e-12 * scale
+        assert np.linalg.norm(u - (m - projection)) <= 1e-12 * scale
+        assert lone is None  # no side holds a single eigenvalue
+
+    @pytest.mark.parametrize("negative", [True, False], ids=["negative", "positive"])
+    @pytest.mark.parametrize("n", [12, 40, 101])
+    def test_stale_estimate_falls_back_and_reseeds(self, n, negative, eigh_calls):
+        m, q = lone_sided(n, n, negative)
+        _, q_other = lone_sided(n, n + 1, negative)
+        projection = eigh_projection(m)
+        del eigh_calls[:]
+        z, u, lone = _psd_split(m, (q_other[:, 0], negative))
+        assert eigh_calls == [n]
+        scale = np.linalg.norm(m)
+        assert np.linalg.norm(z - projection) <= 1e-12 * scale
+        assert np.linalg.norm(u - (m - projection)) <= 1e-12 * scale
+        assert lone[1] == negative
+        assert abs(np.vdot(lone[0], q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("negative", [True, False], ids=["negative", "positive"])
+    def test_no_estimate_below_the_crossover(self, negative):
+        m, _ = lone_sided(_SPLIT_MIN_ORDER - 1, 3, negative)
+        z, u, lone = _psd_split(m, None)
+        assert lone is None
+        assert np.linalg.norm(z - eigh_projection(m)) <= 1e-12 * np.linalg.norm(m)
+
+    @pytest.mark.parametrize("n", [_SPLIT_MIN_ORDER - 1, _SPLIT_MIN_ORDER, 40])
+    def test_solver_eigh_calls_by_order(self, n, eigh_calls):
+        # a Dinkelbach-like c = a a^H - b b^H / 2 has a rank-one optimum
+        a, b = random_vector(n, 41), random_vector(n, 42)
+        c = np.outer(a, a.conj()) - 0.5 * np.outer(b, b.conj())
+        sol = solve_unit_diag_sdp(c, tol=1e-9)
+        assert sol.converged
+        if n < _SPLIT_MIN_ORDER:
+            assert len(eigh_calls) == sol.iterations
+        else:
+            assert 0 < len(eigh_calls) < sol.iterations / 2
 
 
 class TestFractionalSdp:
