@@ -385,6 +385,31 @@ def solve_fractional_sdp(
     )
 
 
+def _gaussian_draws(w: np.ndarray, q: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
+    """n_draws samples from CN(0, V) as columns, given (w, q) = eigh(V)."""
+    root = q * np.sqrt(np.clip(w, 0.0, None))
+    rng = np.random.default_rng(seed)
+    shape = (q.shape[0], n_draws)
+    return root @ ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0))
+
+
+def _best_column(pool: np.ndarray, score) -> tuple:
+    """(vector, score) of the best phase-projected column of pool.
+
+    score maps the whole (n, m) block to its m scores in one call. Ties
+    keep the earliest column and a NaN score never wins: it counts as -inf.
+    """
+    pool = _phase_project(pool)
+    scores = np.asarray(score(pool), dtype=float)
+    if scores.shape != (pool.shape[1],):
+        raise ValidationError(
+            f"score must return one value per column, got shape {scores.shape}"
+        )
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    best = int(np.argmax(scores))
+    return pool[:, best].copy(), float(scores[best])
+
+
 def extract_rank_one(v, n_draws: int, seed, score) -> tuple:
     """Best unit-modulus vector from eigen and Gaussian candidates.
 
@@ -399,16 +424,4 @@ def extract_rank_one(v, n_draws: int, seed, score) -> tuple:
     n_draws = _integer("n_draws", n_draws, 1)
     seed = _integer("seed", seed, 0)
     w, q = np.linalg.eigh(v)
-    root = q * np.sqrt(np.clip(w, 0.0, None))
-    rng = np.random.default_rng(seed)
-    shape = (v.shape[0], n_draws)
-    samples = root @ ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0))
-    pool = _phase_project(np.column_stack([q[:, -1], samples]))
-    scores = np.asarray(score(pool), dtype=float)
-    if scores.shape != (pool.shape[1],):
-        raise ValidationError(
-            f"score must return one value per column, got shape {scores.shape}"
-        )
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    best = int(np.argmax(scores))
-    return pool[:, best].copy(), float(scores[best])
+    return _best_column(np.column_stack([q[:, -1], _gaussian_draws(w, q, n_draws, seed)]), score)

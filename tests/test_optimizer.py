@@ -1,5 +1,11 @@
 """Lifting, power step, phase subproblem, and the joint optimization."""
 import dataclasses
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +21,10 @@ from risjam import (
     optimize,
     optimize_phases,
 )
+import risjam
+from risjam import optimizer
 from risjam.channel import TWO_PI
+from risjam.sdp_core import extract_rank_one
 
 from conftest import make_random_scenario, make_stall_scenario
 
@@ -215,3 +224,117 @@ class TestSettings:
     def test_rejects_non_integer_budget(self, budget):
         with pytest.raises(ValidationError, match="inner_max_iters"):
             OptimizerSettings(inner_max_iters=budget)
+
+
+# Runs optimize on the pickled (scenario, settings) pairs read from stdin and
+# reports, as JSON, each result's converged flag and whether numpy.random was
+# imported before and after the solves.
+_CHILD = """
+import json, pickle, sys
+import risjam
+cases = pickle.loads(sys.stdin.buffer.read())
+before = "numpy.random" in sys.modules
+converged = [risjam.optimize(sc, settings, seed=0).converged for sc, settings in cases]
+print(json.dumps({"before": before, "after": "numpy.random" in sys.modules,
+                  "converged": converged}))
+"""
+
+
+def _run_child(cases) -> dict:
+    src = str(Path(risjam.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        input=pickle.dumps(cases),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return json.loads(proc.stdout)
+
+
+def _closed_form_bound(sc) -> float:
+    """p_tx (sum |a_k|)^2 / (p_jam d^2 + N), d the least |b^H u| over unit-modulus u."""
+    a, b = (np.abs(w) for w in build_channel_set(sc).gain_factors())
+    d = max(0.0, 2.0 * float(b.max()) - float(b.sum()))
+    return sc.p_tx_max * float(a.sum()) ** 2 / (sc.p_jam * d * d + sc.noise_power)
+
+
+class TestCertifiedPick:
+    """The Gaussian draws run only when the pick fails the certified-gap test."""
+
+    def test_certified_solves_never_import_numpy_random(self):
+        defaults = [default_scenario(k_rows=k, k_cols=k) for k in range(2, 11)]
+        scenarios = defaults + [dataclasses.replace(sc, p_jam=0.0) for sc in defaults]
+        cases = [(sc, OptimizerSettings()) for sc in scenarios]
+        out = _run_child(cases)
+        assert out["converged"] == [True] * len(cases)
+        assert not out["before"]
+        assert not out["after"]
+
+    def test_uncertified_pick_runs_the_draws(self):
+        # the capped stall instance stops uncertified, so its pick fails the test
+        out = _run_child([(make_stall_scenario(), OptimizerSettings(inner_max_iters=1))])
+        assert out["converged"] == [False]
+        assert not out["before"]
+        assert out["after"]
+
+    def test_skipped_draws_are_seed_free_and_sandwiched(self, monkeypatch):
+        # default sizes and broad draws, each also with the jammer off; the
+        # closed form bounds the SJNR for any phases
+        draws = []
+        real = optimizer._gaussian_draws
+
+        def counted(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "_gaussian_draws", counted)
+        rng = np.random.default_rng(61)
+        defaults = [default_scenario(k_rows=k, k_cols=k) for k in range(2, 11)]
+        broad = [make_random_scenario(rng) for _ in range(60)]
+        skipped_broad = 0
+        for i, sc in enumerate(defaults + broad):
+            for case in (sc, dataclasses.replace(sc, p_jam=0.0)):
+                n_draws = len(draws)
+                res, other = optimize(case, seed=0), optimize(case, seed=1)
+                if len(draws) > n_draws:
+                    assert i >= len(defaults), "a default-size solve ran the draws"
+                    continue
+                skipped_broad += i >= len(defaults)
+                a, b = res.to_json_dict(), other.to_json_dict()
+                assert (a.pop("seed"), b.pop("seed")) == (0, 1)
+                assert a == b
+                s, bound = res.final_report.sjnr_linear, res.sdp_bound
+                slack = optimizer._TOL * (1.0 + abs(s))
+                assert bound - s <= slack
+                closed = _closed_form_bound(case)
+                assert s <= bound
+                assert s <= closed * (1.0 + 1e-9)
+                # the certified bound sits within the skip test's slack of
+                # the SJNR, so at most that slack above the closed form
+                assert bound <= closed * (1.0 + 1e-9) + slack
+        assert skipped_broad >= 100
+
+    def test_fallback_picks_what_extraction_returns(self, monkeypatch):
+        sc = make_stall_scenario()
+        lifted = lift(build_channel_set(sc), sc)
+        solved = []
+        real = optimizer.solve_fractional_sdp
+
+        def captured(*args, **kwargs):
+            solved.append(real(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(optimizer, "solve_fractional_sdp", captured)
+        for seed in (0, 1):
+            ps = optimize_phases(lifted, OptimizerSettings(inner_max_iters=1), seed=seed)
+            vec, score = extract_rank_one(solved[-1].v_opt, optimizer._N_DRAWS, seed, lifted.sjnr_of)
+            # the anchors lose to the extraction on this instance
+            assert ps.sjnr_linear == score
+            assert np.array_equal(ps.phases.thetas, PhaseConfig(np.angle(vec[:-1])).thetas)
+
+    def test_seed_checked_even_when_certified(self):
+        lifted = lift(build_channel_set(default_scenario()), default_scenario())
+        with pytest.raises(ValidationError, match="seed"):
+            optimize_phases(lifted, OptimizerSettings(), seed=-1)
