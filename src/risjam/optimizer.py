@@ -23,17 +23,8 @@ import numpy as np
 from .channel import ChannelSet, PhaseConfig, build_channel_set
 from .link import SjnrReport, effective_gains, sjnr
 from .scenario import Scenario, ValidationError, _integer, linear_to_db
-from .sdp_core import (
-    _best_column,
-    _gaussian_draws,
-    _hermitize,
-    _phase_project,
-    solve_fractional_sdp,
-)
+from .sdp_core import _gap_closed, _phase_project, extract_rank_one, solve_fractional_sdp
 
-# Certified-gap tolerance of the fractional solve; a pick within it of the
-# bound skips the Gaussian randomization.
-_TOL = 1e-6
 # Gaussian randomization draws, run only for an uncertified pick.
 _N_DRAWS = 200
 
@@ -177,19 +168,16 @@ def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) ->
         lifted.p_jam,
         lifted.noise_power,
         best_vec,
-        tol=_TOL,
         inner_max_iters=settings.inner_max_iters,
     )
-    w, q = np.linalg.eigh(_hermitize(fs.v_opt))
-    vec, score = _best_column(q[:, -1:], lifted.sjnr_of)
-    top = max(score, best_score)
-    if fs.ratio_upper_bound - top > _TOL * (1.0 + abs(top)):
-        # One block with the eigenvector first, so the fallback picks
-        # exactly what extract_rank_one(V, _N_DRAWS, seed, ...) returns.
-        pool = np.column_stack([q[:, -1], _gaussian_draws(w, q, _N_DRAWS, seed)])
-        vec, score = _best_column(pool, lifted.sjnr_of)
+    lead = _phase_project(np.linalg.eigh(fs.v_opt)[1][:, -1])
+    score = float(lifted.sjnr_of(lead[:, None])[0])
     if score > best_score:
-        best_vec, best_score = vec, score
+        best_vec, best_score = lead, score
+    if not _gap_closed(fs.ratio_upper_bound, best_score):
+        vec, score = extract_rank_one(fs.v_opt, _N_DRAWS, seed, lifted.sjnr_of)
+        if score > best_score:
+            best_vec, best_score = vec, score
     return PhaseSolveResult(
         phases=PhaseConfig(np.angle(best_vec[:-1])),
         sjnr_linear=best_score,

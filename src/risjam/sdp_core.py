@@ -45,6 +45,8 @@ _SPLIT_MIN_ORDER = 12
 # Starting inner-SDP tolerance and step cap of the Dinkelbach iteration.
 _INNER_TOL = 1e-7
 _MAX_STEPS = 50
+# Default certified-gap tolerance of the Dinkelbach iteration.
+_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +69,11 @@ class FractionalSolution:
     ratio_upper_bound: float
     inner_solves: int
     converged: bool
+
+
+def _gap_closed(upper: float, value: float, tol: float = _TOL) -> bool:
+    """The Dinkelbach stopping test: upper - value <= tol*(1 + |value|)."""
+    return upper - value <= tol * (1.0 + abs(value))
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -289,7 +296,7 @@ def solve_fractional_sdp(
     den_scale: float,
     den_offset: float,
     start,
-    tol: float = 1e-6,
+    tol: float = _TOL,
     inner_max_iters: int = 20000,
 ) -> FractionalSolution:
     """Maximize (num_scale*tr(N V)) / (den_scale*tr(D V) + den_offset).
@@ -366,7 +373,7 @@ def solve_fractional_sdp(
         phi_ub = sol.objective + sol.duality_gap_estimate - lam * off
         ratio_upper = min(ratio_upper, lam + max(phi_ub, 0.0) / off)
         lam = best_ratio
-        if ratio_upper - best_ratio <= tol * (1.0 + abs(best_ratio)):
+        if _gap_closed(ratio_upper, best_ratio, tol):
             converged = True
             break
         # A warm-started re-solve exits immediately once it meets the inner
@@ -385,31 +392,6 @@ def solve_fractional_sdp(
     )
 
 
-def _gaussian_draws(w: np.ndarray, q: np.ndarray, n_draws: int, seed: int) -> np.ndarray:
-    """n_draws samples from CN(0, V) as columns, given (w, q) = eigh(V)."""
-    root = q * np.sqrt(np.clip(w, 0.0, None))
-    rng = np.random.default_rng(seed)
-    shape = (q.shape[0], n_draws)
-    return root @ ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0))
-
-
-def _best_column(pool: np.ndarray, score) -> tuple:
-    """(vector, score) of the best phase-projected column of pool.
-
-    score maps the whole (n, m) block to its m scores in one call. Ties
-    keep the earliest column and a NaN score never wins: it counts as -inf.
-    """
-    pool = _phase_project(pool)
-    scores = np.asarray(score(pool), dtype=float)
-    if scores.shape != (pool.shape[1],):
-        raise ValidationError(
-            f"score must return one value per column, got shape {scores.shape}"
-        )
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    best = int(np.argmax(scores))
-    return pool[:, best].copy(), float(scores[best])
-
-
 def extract_rank_one(v, n_draws: int, seed, score) -> tuple:
     """Best unit-modulus vector from eigen and Gaussian candidates.
 
@@ -424,4 +406,16 @@ def extract_rank_one(v, n_draws: int, seed, score) -> tuple:
     n_draws = _integer("n_draws", n_draws, 1)
     seed = _integer("seed", seed, 0)
     w, q = np.linalg.eigh(v)
-    return _best_column(np.column_stack([q[:, -1], _gaussian_draws(w, q, n_draws, seed)]), score)
+    root = q * np.sqrt(np.clip(w, 0.0, None))
+    rng = np.random.default_rng(seed)
+    shape = (v.shape[0], n_draws)
+    samples = root @ ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0))
+    pool = _phase_project(np.column_stack([q[:, -1], samples]))
+    scores = np.asarray(score(pool), dtype=float)
+    if scores.shape != (pool.shape[1],):
+        raise ValidationError(
+            f"score must return one value per column, got shape {scores.shape}"
+        )
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    best = int(np.argmax(scores))
+    return pool[:, best].copy(), float(scores[best])
