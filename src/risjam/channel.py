@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import (
-    AoaAngles,
-    Position3D,
-    Scenario,
-    ValidationError,
-    aoa_angles,
-    distance,
-)
+from .scenario import Position3D, Scenario, ValidationError, aoa_angles, distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,20 +64,6 @@ class ChannelSet:
     h_tx_ris: np.ndarray
     h_jam_ris: np.ndarray
     h_ris_ue: np.ndarray
-
-    def __post_init__(self):
-        for name in ("h_tx_ris", "h_jam_ris", "h_ris_ue"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.ndim != 1 or arr.size < 1:
-                raise ValidationError(f"{name} must be a nonempty 1-D vector")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        k = self.h_tx_ris.size
-        if self.h_jam_ris.size != k or self.h_ris_ue.size != k:
-            raise ValidationError(
-                "channel vectors disagree on element count: "
-                f"{self.h_tx_ris.size}, {self.h_jam_ris.size}, {self.h_ris_ue.size}"
-            )
 
     @property
     def num_elements(self) -> int:
@@ -144,7 +123,7 @@ def direct_channel(scenario: Scenario, pos_from: Position3D, pos_to: Position3D)
 
 
 def steering_vector(
-    angles: AoaAngles,
+    angles: tuple,
     k_rows: int,
     k_cols: int,
     element_spacing: float,
@@ -152,13 +131,15 @@ def steering_vector(
 ) -> np.ndarray:
     """Planar-array phase response: Kronecker product of row and column ramps.
 
-    Rows step along a_x = sin_vert*cos_horiz, columns along
-    a_z = sin_vert*sin_horiz; entry 0 is the phase reference.
+    angles is aoa_angles' (sin_vert, sin_horiz, cos_horiz). Rows step along
+    a_x = sin_vert*cos_horiz, columns along a_z = sin_vert*sin_horiz; entry
+    0 is the phase reference.
     """
     if k_rows < 1 or k_cols < 1:
         raise ValidationError(f"array size must be >= 1x1, got {k_rows}x{k_cols}")
-    a_x = angles.sin_vert * angles.cos_horiz
-    a_z = angles.sin_vert * angles.sin_horiz
+    sin_vert, sin_horiz, cos_horiz = angles
+    a_x = sin_vert * cos_horiz
+    a_z = sin_vert * sin_horiz
     step = -TWO_PI * element_spacing / wavelength
     row = np.exp(1j * step * a_x * np.arange(k_rows))
     col = np.exp(1j * step * a_z * np.arange(k_cols))

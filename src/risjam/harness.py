@@ -97,11 +97,10 @@ class SweepRow:
     converged: bool = True
 
 
-def _block_sjnr(scenario: Scenario, phasors: np.ndarray) -> tuple:
-    """Linear SJNR at the power cap, and the jammer gain, per row of phasors."""
+def _lifted_block(scenario: Scenario, phasors: np.ndarray) -> tuple:
+    """The lifted problem at the power cap, and each row of phasors as a column [u; 1]."""
     lifted = lift(build_channel_set(scenario), scenario)
-    block = np.vstack([phasors.T, np.ones(len(phasors), dtype=complex)])
-    return lifted.sjnr_of(block), np.abs(lifted.w_jam.conj() @ block) ** 2
+    return lifted, np.vstack([phasors.T, np.ones(len(phasors), dtype=complex)])
 
 
 def baseline_identity(scenario: Scenario) -> SjnrReport:
@@ -110,22 +109,23 @@ def baseline_identity(scenario: Scenario) -> SjnrReport:
 
 
 def baseline_random_mean(scenario: Scenario, n_samples: int = 100, seed: int = 0) -> SjnrReport:
-    """Mean linear SJNR over uniform random phases; the other reading.
+    """Means over uniform random phases at the power cap; the other reading.
 
-    The report's signal_w is synthesized as mean_sjnr * (mean_jam + noise)
-    so the linear/power consistency of SjnrReport holds for the mean.
+    Each field is its own sample mean: sjnr_linear of the SJNR, signal_w
+    of p_tx*gamma and jam_w of p_jam*delta. So sjnr_linear is in general
+    not signal_w / (jam_w + noise_w).
     """
     n_samples = _integer("n_samples", n_samples, 1)
     rng = np.random.default_rng(_integer("seed", seed, 0))
     phasors = np.exp(1j * rng.uniform(0.0, TWO_PI, (n_samples, scenario.num_elements)))
-    lin, delta = _block_sjnr(scenario, phasors)
-    mean_lin = float(np.mean(lin))
-    jam_w = float(np.mean(scenario.p_jam * delta))
+    lifted, block = _lifted_block(scenario, phasors)
+    mean_lin = float(np.mean(lifted.sjnr_of(block)))
+    gamma, delta = (np.abs(w.conj() @ block) ** 2 for w in (lifted.w_tx, lifted.w_jam))
     return SjnrReport(
         sjnr_linear=mean_lin,
         sjnr_db=linear_to_db(mean_lin),
-        signal_w=mean_lin * (jam_w + scenario.noise_power),
-        jam_w=jam_w,
+        signal_w=float(np.mean(scenario.p_tx_max * gamma)),
+        jam_w=float(np.mean(scenario.p_jam * delta)),
         noise_w=scenario.noise_power,
     )
 
@@ -143,8 +143,8 @@ def oracle_exhaustive(scenario: Scenario, levels: int) -> SjnrReport:
         )
     axis = TWO_PI * np.arange(levels) / levels
     combos = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    lin, _ = _block_sjnr(scenario, np.exp(1j * combos))
-    best = int(np.argmax(lin))
+    lifted, block = _lifted_block(scenario, np.exp(1j * combos))
+    best = int(np.argmax(lifted.sjnr_of(block)))
     return evaluate(scenario, PhaseConfig(combos[best]))
 
 

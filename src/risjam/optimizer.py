@@ -36,7 +36,7 @@ class LiftedProblem:
     w_tx / w_jam are the rank-one factors: for a unit-modulus candidate u
     with trailing slot 1, |w^H u|^2 equals |h_direct + h_cascade|^2 of the
     corresponding satellite exactly, so the lifted forms are w w^H. Only
-    lift builds it, from a validated Scenario and ChannelSet.
+    lift builds it, from a validated Scenario and its ChannelSet.
     """
 
     w_tx: np.ndarray

@@ -17,6 +17,8 @@ class ValidationError(ValueError):
 
 def _number(key: str, value) -> float:
     """A JSON number as a float; booleans, strings and null are not numbers."""
+    if isinstance(value, float):  # also numpy.float64; the ABC check below is slower
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{key} must be a number, got {value!r}")
     try:
@@ -54,29 +56,10 @@ class Position3D:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            v = getattr(self, name)
+            v = _number(f"position coordinate {name}", getattr(self, name))
             if not math.isfinite(v):
                 raise ValidationError(f"position coordinate {name} is not finite: {v!r}")
-
-
-@dataclass(frozen=True)
-class AoaAngles:
-    """Vertical/horizontal arrival-angle trigonometry for a planar array.
-
-    sin_vert is |dz|/distance; sin_horiz and cos_horiz split the horizontal
-    offset, with the degenerate zero-offset convention cos_horiz=1, sin_horiz=0.
-    """
-
-    sin_vert: float
-    sin_horiz: float
-    cos_horiz: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.sin_vert <= 1.0 + 1e-12):
-            raise ValidationError(f"sin_vert out of range: {self.sin_vert!r}")
-        one = self.sin_horiz**2 + self.cos_horiz**2
-        if abs(one - 1.0) > 1e-12:
-            raise ValidationError(f"sin/cos horizontal pair not normalized: {one!r}")
+            object.__setattr__(self, name, v)
 
 
 # Horizontal offsets below this are treated as exactly on-axis.
@@ -107,14 +90,15 @@ class Scenario:
     ris_enabled: bool = True
 
     def __post_init__(self):
-        positive = {
-            "p_tx_max": self.p_tx_max,
-            "noise_power": self.noise_power,
-            "wavelength": self.wavelength,
-            "element_spacing": self.element_spacing,
-            "rho": self.rho,
-        }
-        for name, v in positive.items():
+        for name in ("k_rows", "k_cols"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        for name in ("p_tx_max", "p_jam", "noise_power", "wavelength", "element_spacing",
+                     "rho", "alpha_direct", "alpha_ris"):
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
+        if not isinstance(self.ris_enabled, bool):
+            raise ValidationError(f"ris_enabled must be true or false, got {self.ris_enabled!r}")
+        for name in ("p_tx_max", "noise_power", "wavelength", "element_spacing", "rho"):
+            v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValidationError(f"{name} must be finite and > 0, got {v!r}")
         if not (math.isfinite(self.p_jam) and self.p_jam >= 0.0):
@@ -123,18 +107,17 @@ class Scenario:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v!r}")
-        if self.k_rows < 1 or self.k_cols < 1:
-            raise ValidationError(
-                f"k_rows and k_cols must be >= 1, got {self.k_rows}x{self.k_cols}"
-            )
-        if self.pos_ue.z != 0.0:
-            raise ValidationError(f"user position must have z = 0, got z={self.pos_ue.z!r}")
         nodes = [
             ("pos_tx", self.pos_tx),
             ("pos_jam", self.pos_jam),
             ("pos_ris", self.pos_ris),
             ("pos_ue", self.pos_ue),
         ]
+        for name, node in nodes:
+            if not isinstance(node, Position3D):
+                raise ValidationError(f"{name} must be a Position3D, got {node!r}")
+        if self.pos_ue.z != 0.0:
+            raise ValidationError(f"user position must have z = 0, got z={self.pos_ue.z!r}")
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 if distance(nodes[i][1], nodes[j][1]) == 0.0:
@@ -152,11 +135,12 @@ def distance(a: Position3D, b: Position3D) -> float:
     return math.dist((a.x, a.y, a.z), (b.x, b.y, b.z))
 
 
-def aoa_angles(sat: Position3D, ris: Position3D) -> AoaAngles:
-    """Arrival-angle trigonometry of the sat->RIS link.
+def aoa_angles(sat: Position3D, ris: Position3D) -> tuple:
+    """Arrival-angle trigonometry (sin_vert, sin_horiz, cos_horiz) of the sat->RIS link.
 
-    sin_vert = |z_ris - z_sat| / distance; the horizontal pair uses the
-    absolute x/y offsets, with sin_horiz on |dx| and cos_horiz on |dy|.
+    sin_vert = |z_ris - z_sat| / distance, in [0, 1]; the horizontal pair
+    uses the absolute x/y offsets, with sin_horiz on |dx| and cos_horiz on
+    |dy|, so sin_horiz**2 + cos_horiz**2 = 1.
     A horizontal offset under HORIZONTAL_DEGENERACY_EPS takes the documented
     on-axis convention (cos_horiz = 1, sin_horiz = 0).
     """
@@ -172,7 +156,7 @@ def aoa_angles(sat: Position3D, ris: Position3D) -> AoaAngles:
     else:
         sin_h = abs(dx) / horiz
         cos_h = abs(dy) / horiz
-    return AoaAngles(sin_vert=abs(dz) / d, sin_horiz=sin_h, cos_horiz=cos_h)
+    return abs(dz) / d, sin_h, cos_h
 
 
 def noise_power_from(
@@ -242,8 +226,6 @@ def scenario_from_config(config: dict) -> Scenario:
 
     wavelength = num("wavelength_m")
     spacing = wavelength / 2.0 if cfg["element_spacing_m"] is None else num("element_spacing_m")
-    if not isinstance(cfg["ris_enabled"], bool):
-        raise ValidationError(f"ris_enabled must be true or false, got {cfg['ris_enabled']!r}")
     noise_keys = ("bandwidth_hz", "noise_density_dbm_hz", "noise_figure_db")
     try:
         noise_power = noise_power_from(*(num(key) for key in noise_keys))

@@ -310,26 +310,10 @@ def solve_fractional_sdp(
     below tol*(1 + |ratio_opt|), or after _MAX_STEPS steps. The problem is
     internally normalized so that num_scale*tr(N) + den_scale*tr(D) +
     den_offset = 1, making tolerances meaningful for arbitrarily scaled
-    physical inputs (the ratio is unchanged).
+    physical inputs (the ratio is unchanged). The arguments are not checked:
+    the package's one caller, optimizer.optimize_phases, passes lift's
+    factors, a validated Scenario's power terms and a unit-modulus anchor.
     """
-    w_num, w_den, start = (np.asarray(x, dtype=complex) for x in (w_num, w_den, start))
-    if w_num.ndim != 1 or w_num.size < 1 or not w_num.shape == w_den.shape == start.shape:
-        raise ValidationError(
-            "w_num, w_den and start must be nonempty 1-D arrays of one length, got "
-            f"shapes {w_num.shape}, {w_den.shape}, {start.shape}"
-        )
-    if not all(np.all(np.isfinite(x)) for x in (w_num, w_den, start)):
-        raise ValidationError("w_num, w_den and start must be finite")
-    if np.any(np.abs(np.abs(start) - 1.0) > 1e-9):
-        raise ValidationError("start must have unit-modulus entries")
-    for name, v in (("num_scale", num_scale), ("den_scale", den_scale)):
-        if not (math.isfinite(v) and v >= 0.0):
-            raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
-    if not (math.isfinite(den_offset) and den_offset > 0.0):
-        raise ValidationError(f"den_offset must be > 0, got {den_offset!r}")
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValidationError(f"tol must be positive, got {tol!r}")
-
     num = _hermitize(np.outer(w_num, w_num.conj()))
     den = _hermitize(np.outer(w_den, w_den.conj()))
     scale = (

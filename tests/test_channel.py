@@ -129,10 +129,11 @@ class TestSteeringVector:
         # pure-x arrival: the column ramp is flat, so the phase pattern
         # repeats k_cols times per row step
         angles = aoa_angles(Position3D(100, 0, -100), Position3D(0, 0, 0))
-        assert angles.sin_horiz == 1.0 and angles.cos_horiz == 0.0
+        sin_vert, sin_horiz, cos_horiz = angles
+        assert sin_horiz == 1.0 and cos_horiz == 0.0
         v = steering_vector(angles, 2, 2, 0.075, 0.15)
         # a_x = sin_vert*cos_horiz = 0 here, a_z = sin_vert*sin_horiz = sqrt(2)/2
-        a_z = angles.sin_vert
+        a_z = sin_vert
         phase = -TWO_PI * 0.075 / 0.15 * a_z
         expected = np.array([1, cmath.exp(1j * phase), 1, cmath.exp(1j * phase)])
         assert np.allclose(v, expected, atol=1e-12)
@@ -210,8 +211,6 @@ class TestCascade:
         assert got == pytest.approx(coherent_cap(ch.h_tx_ue, ch.h_ris_ue, ch.h_tx_ris), rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            ChannelSet(1j, 1j, np.ones(4), np.ones(4), np.ones(3))
         ch = ChannelSet(1j, 1j, np.ones(3), np.ones(3), np.ones(3))
         with pytest.raises(ValidationError):
             effective_gains(ch, identity_phases(2))

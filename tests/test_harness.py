@@ -22,6 +22,7 @@ from risjam import (
     fig4_spec,
     format_csv_rows,
     lift,
+    linear_to_db,
     optimize_phases,
     oracle_exhaustive,
     run_sweep,
@@ -71,6 +72,22 @@ class TestBaselines:
         sc = default_scenario(ris_enabled=False)
         got = baseline_random_mean(sc, n_samples=10, seed=0)
         assert got.sjnr_linear == pytest.approx(evaluate(sc).sjnr_linear, rel=1e-12)
+
+    def test_random_mean_fields_are_sample_means(self):
+        # RIS 1 m above the user at 0 dB reference gain: the cascade rivals the
+        # direct path, so the mean SJNR differs from the ratio of mean powers
+        sc = default_scenario(k_rows=2, k_cols=2, rho_db=0.0, pos_ris_m=[0.0, 0.0, 1.0])
+        got = baseline_random_mean(sc, n_samples=30, seed=4)
+        thetas = np.random.default_rng(4).uniform(0.0, TWO_PI, (30, 4))
+        ch = build_channel_set(sc)
+        cascade = np.exp(1j * thetas) * np.conj(ch.h_ris_ue)
+        signal = sc.p_tx_max * np.abs(ch.h_tx_ue + cascade @ ch.h_tx_ris) ** 2
+        jam = sc.p_jam * np.abs(ch.h_jam_ue + cascade @ ch.h_jam_ris) ** 2
+        assert got.signal_w == pytest.approx(np.mean(signal), rel=1e-12)
+        assert got.jam_w == pytest.approx(np.mean(jam), rel=1e-12)
+        assert got.noise_w == sc.noise_power
+        assert got.sjnr_linear == pytest.approx(np.mean(signal / (jam + sc.noise_power)), rel=1e-12)
+        assert got.sjnr_db == linear_to_db(got.sjnr_linear)
 
     def test_random_mean_rejects_zero_samples(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 """Geometry, unit conversions, config parsing, and validation rules."""
+import dataclasses
 import json
 import math
 
@@ -83,23 +84,23 @@ class TestDistance:
 
 class TestAoa:
     def test_diagonal_example(self):
-        a = aoa_angles(pos(100, 0, 0), pos(0, 0, 100))
-        assert a.sin_vert == pytest.approx(0.7071067811865475, rel=1e-14)
-        assert a.sin_horiz == 1.0
-        assert a.cos_horiz == 0.0
+        sin_vert, sin_horiz, cos_horiz = aoa_angles(pos(100, 0, 0), pos(0, 0, 100))
+        assert sin_vert == pytest.approx(0.7071067811865475, rel=1e-14)
+        assert sin_horiz == 1.0
+        assert cos_horiz == 0.0
 
     def test_on_axis_convention(self):
         # zero horizontal offset: the convention pins cos=1, sin=0
-        a = aoa_angles(pos(0, 0, 500e3), pos(0, 0, 50))
-        assert a.sin_vert == 1.0
-        assert a.sin_horiz == 0.0
-        assert a.cos_horiz == 1.0
+        sin_vert, sin_horiz, cos_horiz = aoa_angles(pos(0, 0, 500e3), pos(0, 0, 50))
+        assert sin_vert == 1.0
+        assert sin_horiz == 0.0
+        assert cos_horiz == 1.0
 
     def test_pure_y_offset(self):
-        a = aoa_angles(pos(0, -30, 40), pos(0, 0, 0))
-        assert a.sin_vert == pytest.approx(0.8, rel=1e-14)
-        assert a.sin_horiz == 0.0
-        assert a.cos_horiz == 1.0
+        sin_vert, sin_horiz, cos_horiz = aoa_angles(pos(0, -30, 40), pos(0, 0, 0))
+        assert sin_vert == pytest.approx(0.8, rel=1e-14)
+        assert sin_horiz == 0.0
+        assert cos_horiz == 1.0
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValidationError):
@@ -108,11 +109,11 @@ class TestAoa:
     @given(finite, finite, st.floats(min_value=-1e6, max_value=-1.0), finite, finite)
     def test_normalization(self, sx, sy, sz, rx, ry):
         sat, ris = pos(sx, sy, sz), pos(rx, ry, 0.0)
-        a = aoa_angles(sat, ris)
-        assert 0.0 <= a.sin_vert <= 1.0
-        assert 0.0 <= a.sin_horiz <= 1.0
-        assert 0.0 <= a.cos_horiz <= 1.0
-        assert a.sin_horiz**2 + a.cos_horiz**2 == pytest.approx(1.0, abs=1e-12)
+        sin_vert, sin_horiz, cos_horiz = aoa_angles(sat, ris)
+        assert 0.0 <= sin_vert <= 1.0
+        assert 0.0 <= sin_horiz <= 1.0
+        assert 0.0 <= cos_horiz <= 1.0
+        assert sin_horiz**2 + cos_horiz**2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScenarioValidation:
@@ -158,6 +159,39 @@ class TestScenarioValidation:
             Position3D(math.nan, 0.0, 0.0)
         with pytest.raises(ValidationError):
             Position3D(0.0, math.inf, 0.0)
+
+    @pytest.mark.parametrize("coordinate", ["1", True, None, 1j])
+    def test_position_coordinates_must_be_real_numbers(self, coordinate):
+        with pytest.raises(ValidationError, match="position coordinate x"):
+            Position3D(coordinate, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("k_rows", 2.5),
+            ("k_rows", 3.0),
+            ("k_cols", True),
+            ("k_cols", "3"),
+            ("p_tx_max", "100"),
+            ("rho", True),
+            ("alpha_ris", None),
+            ("ris_enabled", 0),
+            ("ris_enabled", "yes"),
+            ("pos_ris", (0.0, 0.0, 50.0)),
+        ],
+    )
+    def test_rejects_wrong_types(self, field, bad):
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(default_scenario(), **{field: bad})
+
+    def test_numpy_scalars_become_python_numbers(self):
+        sc = dataclasses.replace(
+            default_scenario(), k_rows=np.int64(2), rho=np.float64(1e-5),
+            pos_tx=Position3D(np.float64(1.0), 0, 5e5),
+        )
+        assert (sc.k_rows, sc.num_elements) == (2, 6)
+        assert type(sc.k_rows) is int and type(sc.rho) is float
+        assert type(sc.pos_tx.x) is float and type(sc.pos_tx.y) is float
 
 
 class TestConfig:

@@ -480,30 +480,6 @@ class TestFractionalSdp:
         y = solve_fractional_sdp(1e-6 * a, 1e-6 * b, 1.0, 1.0, 1e-12, np.ones(3))
         assert y.ratio_opt == pytest.approx(x.ratio_opt, rel=1e-6)
 
-    def test_rejects_bad_offset_and_scales(self):
-        one = np.ones(2)
-        with pytest.raises(ValidationError):
-            solve_fractional_sdp(one, one, 1.0, 1.0, 0.0, one)
-        with pytest.raises(ValidationError):
-            solve_fractional_sdp(one, one, -1.0, 1.0, 1.0, one)
-
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            solve_fractional_sdp(np.ones(2), np.ones(3), 1.0, 1.0, 1.0, np.ones(2))
-        with pytest.raises(ValidationError):
-            solve_fractional_sdp(np.ones(3), np.ones(3), 1.0, 1.0, 1.0, np.ones(2))
-
-    def test_rejects_non_unit_modulus_start(self):
-        one = np.ones(3)
-        for start in ([1.0, 1.0, 0.0], [1.0, 1.5j, 1.0], [1.0, math.nan, 1.0]):
-            with pytest.raises(ValidationError):
-                solve_fractional_sdp(one, one, 1.0, 1.0, 1.0, np.array(start))
-
-    def test_rejects_nonfinite_factors(self):
-        one = np.ones(2)
-        with pytest.raises(ValidationError):
-            solve_fractional_sdp(np.array([1.0, math.inf]), one, 1.0, 1.0, 1.0, one)
-
 
 def reference_extract(v, n_draws, seed, score_one):
     """The pool built and scored one candidate at a time; the first strict
