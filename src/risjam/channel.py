@@ -103,8 +103,6 @@ def _los_gain(
 ) -> complex:
     """Scalar LoS gain sqrt(rho*d**-alpha) * exp(-j*2*pi*d/lambda), alpha = scenario.<alpha_key>."""
     d = distance(pos_from, pos_to)
-    if d <= 0.0:
-        raise ValidationError("a LoS link requires distinct endpoints")
     alpha = getattr(scenario, alpha_key)
     try:
         magnitude = math.sqrt(scenario.rho * d ** (-alpha))
@@ -135,8 +133,6 @@ def steering_vector(
     a_x = sin_vert*cos_horiz, columns along a_z = sin_vert*sin_horiz; entry
     0 is the phase reference.
     """
-    if k_rows < 1 or k_cols < 1:
-        raise ValidationError(f"array size must be >= 1x1, got {k_rows}x{k_cols}")
     sin_vert, sin_horiz, cos_horiz = angles
     a_x = sin_vert * cos_horiz
     a_z = sin_vert * sin_horiz

@@ -42,16 +42,22 @@ class SjnrReport:
         }
 
 
+def _power_gain(w: np.ndarray, u: np.ndarray):
+    """|w^H u|^2 for a candidate u of shape (n,), or per column of an (n, m) block."""
+    return abs(w.conj() @ u) ** 2
+
+
+def _gains(w_tx: np.ndarray, w_jam: np.ndarray, phases: PhaseConfig) -> EffectiveGains:
+    """Both path gains at phases from the rank-one factors, unchecked."""
+    u = np.append(phases.unit_phasors(), 1.0)
+    return EffectiveGains(gamma_tx=_power_gain(w_tx, u), delta_jam=_power_gain(w_jam, u))
+
+
 def effective_gains(channels: ChannelSet, phases: PhaseConfig) -> EffectiveGains:
     """|direct + reflected|^2 = |w^H [u; 1]|^2 for the transmitter and jammer paths."""
     if phases.num_elements != channels.num_elements:
         raise ValidationError(f"{phases.num_elements} phases for {channels.num_elements} elements")
-    u = np.append(phases.unit_phasors(), 1.0)
-    w_tx, w_jam = channels.gain_factors()
-    return EffectiveGains(
-        gamma_tx=abs(w_tx.conj() @ u) ** 2,
-        delta_jam=abs(w_jam.conj() @ u) ** 2,
-    )
+    return _gains(*channels.gain_factors(), phases)
 
 
 def sjnr(gains: EffectiveGains, p_tx: float, p_jam: float, noise_power: float) -> SjnrReport:
@@ -62,6 +68,11 @@ def sjnr(gains: EffectiveGains, p_tx: float, p_jam: float, noise_power: float) -
         raise ValidationError(f"p_jam must be finite and >= 0, got {p_jam!r}")
     if not (math.isfinite(noise_power) and noise_power > 0.0):
         raise ValidationError(f"noise_power must be finite and > 0, got {noise_power!r}")
+    return _report(gains, p_tx, p_jam, noise_power)
+
+
+def _report(gains: EffectiveGains, p_tx: float, p_jam: float, noise_power: float) -> SjnrReport:
+    """sjnr without its checks, for powers a validated Scenario already holds."""
     signal_w = p_tx * gains.gamma_tx
     jam_w = p_jam * gains.delta_jam
     sjnr_linear = signal_w / (jam_w + noise_power)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import ChannelSet, PhaseConfig, build_channel_set
-from .link import SjnrReport, effective_gains, sjnr
+from .link import SjnrReport, _gains, _power_gain, _report
 from .scenario import Scenario, ValidationError, _integer, linear_to_db
 from .sdp_core import _gap_closed, _phase_project, extract_rank_one, solve_fractional_sdp
 
@@ -55,8 +55,8 @@ class LiftedProblem:
         candidate is one vector of shape (n,), giving one SJNR, or a block
         of shape (n, m) whose columns are candidates, giving m SJNRs.
         """
-        f = np.abs(self.w_tx.conj() @ candidate) ** 2
-        g = np.abs(self.w_jam.conj() @ candidate) ** 2
+        f = _power_gain(self.w_tx, candidate)
+        g = _power_gain(self.w_jam, candidate)
         return self.p_tx * f / (self.p_jam * g + self.noise_power)
 
 
@@ -90,7 +90,8 @@ class OptResult:
     """Joint power/phase outcome for one scenario and seed.
 
     p_tx is the power cap. final_report is the link-path SJNR of the phase
-    solve's pick, and converged is that solve's certificate flag.
+    solve's pick (equal to link.evaluate at its phases), and converged is
+    that solve's certificate flag.
     """
 
     phases: PhaseConfig
@@ -193,14 +194,16 @@ def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed
     phases the SJNR p*F(u) / (p_jam*G(u) + N) increases in p, so the power
     step returns the cap whatever the phases are; for fixed power the phase
     maximizer of F(u) / (p_jam*G(u) + N) does not depend on p. A second
-    round would repeat the same phase solve.
+    round would repeat the same phase solve. The pick is reported from
+    lift's factors with link.evaluate's arithmetic, so the channels are
+    built once and the validated scenario's powers are not re-checked.
     """
     seed = _integer("seed", seed, 0)
     settings = settings or OptimizerSettings()
-    channels = build_channel_set(scenario)
-    ps = optimize_phases(lift(channels, scenario), settings, seed)
-    gains = effective_gains(channels, ps.phases)
-    best = sjnr(gains, scenario.p_tx_max, scenario.p_jam, scenario.noise_power)
+    lifted = lift(build_channel_set(scenario), scenario)
+    ps = optimize_phases(lifted, settings, seed)
+    gains = _gains(lifted.w_tx, lifted.w_jam, ps.phases)
+    best = _report(gains, lifted.p_tx, lifted.p_jam, lifted.noise_power)
     return OptResult(
         phases=ps.phases,
         p_tx=scenario.p_tx_max,

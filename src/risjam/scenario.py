@@ -145,8 +145,6 @@ def aoa_angles(sat: Position3D, ris: Position3D) -> tuple:
     on-axis convention (cos_horiz = 1, sin_horiz = 0).
     """
     d = distance(sat, ris)
-    if d == 0.0:
-        raise ValidationError("coincident points have no arrival angle")
     dx = ris.x - sat.x
     dy = ris.y - sat.y
     dz = ris.z - sat.z

@@ -80,24 +80,34 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def _diag(a: np.ndarray) -> np.ndarray:
+    """Writeable strided view of the diagonal of a C-contiguous square array."""
+    return a.reshape(-1)[:: a.shape[0] + 1]
+
+
 def _hermitian(m) -> np.ndarray:
-    """A caller's matrix as a read-only symmetrized complex array.
+    """A caller's matrix as a read-only, C-contiguous, symmetrized complex array.
 
     Checked once, where it enters: square, nonempty, finite, and Hermitian
-    up to 1e-8 relative asymmetry.
+    up to 1e-8 relative asymmetry. An exactly Hermitian matrix is returned
+    as a read-only view, not copied; the caller's array stays writeable.
     """
-    arr = np.asarray(m, dtype=complex)
+    arr = np.ascontiguousarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(float))):
         raise ValidationError("matrix entries must be finite")
-    scale = np.linalg.norm(arr)
-    asym = np.linalg.norm(arr - arr.conj().T)
-    if asym > 1e-8 * max(1.0, scale):
-        raise ValidationError(
-            f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}"
-        )
-    sym = _hermitize(arr)
+    skew = arr - arr.conj().T
+    if skew.any():
+        scale = np.linalg.norm(arr)
+        asym = np.linalg.norm(skew)
+        if asym > 1e-8 * max(1.0, scale):
+            raise ValidationError(
+                f"matrix is not Hermitian: asymmetry {asym:.3e} at scale {scale:.3e}"
+            )
+        sym = _hermitize(arr)
+    else:
+        sym = arr.view()
     sym.setflags(write=False)
     return sym
 
@@ -109,24 +119,28 @@ def _real_trace_product(a: np.ndarray, b: np.ndarray) -> float:
 
 def _feasible_primal(c: np.ndarray, z: np.ndarray) -> tuple:
     """Rescale z onto the unit diagonal, preserving PSD; return (tr(c x), x)."""
-    d = np.real(np.diag(z)).copy()
+    d = z.diagonal().real
     ok = d > 1e-12
-    s = np.zeros_like(d)
-    s[ok] = 1.0 / np.sqrt(d[ok])
-    x = z * np.outer(s, s)
-    if not np.all(ok):
-        bad = ~ok
-        x[bad, :] = 0.0
-        x[:, bad] = 0.0
+    if ok.all():
+        s = 1.0 / np.sqrt(d)
+        x = z * np.outer(s, s)
+    else:  # a row and column without a positive diagonal entry become 0
+        s = np.zeros(d.shape)
+        s[ok] = 1.0 / np.sqrt(d[ok])
+        x = z * np.outer(s, s)
+        x[~ok, :] = 0.0
+        x[:, ~ok] = 0.0
     x = _hermitize(x)
-    np.fill_diagonal(x, 1.0)
+    _diag(x)[:] = 1.0
     return _real_trace_product(c, x), x
 
 
 def _feasible_dual_bound(c: np.ndarray, rho: float, u: np.ndarray) -> float:
     """Upper bound from the dual min sum(y) s.t. Diag(y) >= c."""
-    y = np.real(np.diag(c)) - rho * np.real(np.diag(u))
-    m = np.diag(y).astype(complex) - c
+    y = c.diagonal().real - rho * u.diagonal().real
+    # Diag(y) - c: 0.0 - c rather than -c keeps an exact zero entry at +0.
+    m = 0.0 - c
+    _diag(m)[:] = y - c.diagonal()
     lam_min = float(np.linalg.eigvalsh(m)[0])
     slack = _EIG_SAFETY * max(1.0, float(np.linalg.norm(m)))
     mu = max(0.0, -(lam_min - slack))
@@ -150,10 +164,10 @@ def _psd_split(m: np.ndarray, lone):
     n = m.shape[0]
     if lone is not None:
         v, negative = lone
-        idx = np.arange(n)
         try:
             shifted = m.copy()
-            shifted[idx, idx] -= np.vdot(v, m @ v).real
+            diag = _diag(shifted)
+            diag -= np.vdot(v, m @ v).real
             v = np.linalg.solve(shifted, v)
             v /= np.linalg.norm(v)
             lam = np.vdot(v, m @ v).real
@@ -161,7 +175,8 @@ def _psd_split(m: np.ndarray, lone):
                 part = lam * np.outer(v, v.conj())
                 rest = m - part
                 side = rest.copy() if negative else -rest
-                side[idx, idx] += _EIG_SAFETY * np.linalg.norm(m)
+                diag = _diag(side)
+                diag += _EIG_SAFETY * np.linalg.norm(m)
                 np.linalg.cholesky(side)
                 return (rest, part, (v, True)) if negative else (part, rest, (v, False))
         except np.linalg.LinAlgError:
@@ -201,8 +216,20 @@ def solve_unit_diag_sdp(
     n = cm.shape[0]
 
     seeded = state or {}
-    z = np.array(seeded["z"], dtype=complex) if "z" in seeded else np.eye(n, dtype=complex)
-    u = np.array(seeded["u"], dtype=complex) if "u" in seeded else np.zeros((n, n), dtype=complex)
+    # The loop writes diagonals through C-order strided views (_diag), so
+    # seeded arrays are taken C-contiguous. z is only read and rebound, so
+    # a C-contiguous complex z is used in place; u is always copied, so the
+    # in-place rho rescaling can never reach the caller's array.
+    z = (
+        np.ascontiguousarray(seeded["z"], dtype=complex)
+        if "z" in seeded
+        else np.eye(n, dtype=complex)
+    )
+    u = (
+        np.array(seeded["u"], dtype=complex, order="C")
+        if "u" in seeded
+        else np.zeros((n, n), dtype=complex)
+    )
     rho = float(seeded["rho"]) if "rho" in seeded else max(float(np.linalg.norm(cm)) / n, 1e-12)
     if z.shape != cm.shape or u.shape != cm.shape:
         raise ValidationError(
@@ -235,13 +262,12 @@ def solve_unit_diag_sdp(
     # which carries it unscaled, so it grows only by the new rounding.
     converged = certify()
     if not converged:
-        diag = np.arange(n)
         c_rho = cm / rho
         lone = None  # (eigenvector, side) of a single eigenvalue on one side of m
         for it in range(1, max_iters + 1):
             iterations = it
             x = z - u + c_rho
-            x[diag, diag] = 1.0
+            _diag(x)[:] = 1.0
             m = alpha * x + (1.0 - alpha) * z + u
             z_new, u, lone = _psd_split(m, lone)
             if it % 10 == 0:
@@ -314,6 +340,10 @@ def solve_fractional_sdp(
     the package's one caller, optimizer.optimize_phases, passes lift's
     factors, a validated Scenario's power terms and a unit-modulus anchor.
     """
+    # np.outer's complex products are conjugate-symmetric only up to rounding
+    # (numpy may fuse the multiply-add), so both are symmetrized once here.
+    # Then every C = a - lam*b is exactly Hermitian, and _hermitian passes
+    # it to the inner solve without a copy.
     num = _hermitize(np.outer(w_num, w_num.conj()))
     den = _hermitize(np.outer(w_den, w_den.conj()))
     scale = (

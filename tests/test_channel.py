@@ -112,11 +112,6 @@ class TestDirectChannel:
         far = direct_channel(sc, Position3D(0, 0, 2000.0), sc.pos_ue)
         assert abs(near) / abs(far) == pytest.approx(2.0, rel=1e-12)
 
-    def test_coincident_rejected(self):
-        sc = default_scenario()
-        with pytest.raises(ValidationError):
-            direct_channel(sc, sc.pos_ue, sc.pos_ue)
-
 
 class TestSteeringVector:
     def test_reference_element_is_unity(self):
@@ -146,11 +141,6 @@ class TestSteeringVector:
         expected = np.array([1, 1, step, step])
         assert np.allclose(v, expected, atol=1e-12)
 
-    def test_rejects_empty_array(self):
-        angles = aoa_angles(Position3D(0, 0, 100), Position3D(0, 0, 0))
-        with pytest.raises(ValidationError):
-            steering_vector(angles, 0, 3, 0.075, 0.15)
-
 
 class TestRisLink:
     def test_default_leo_magnitude(self):
@@ -164,11 +154,6 @@ class TestRisLink:
     def test_element_count_matches_array(self):
         sc = default_scenario(k_rows=2, k_cols=5)
         assert ris_link_channel(sc, sc.pos_tx).shape == (10,)
-
-    def test_far_node_at_ris_rejected(self):
-        sc = default_scenario()
-        with pytest.raises(ValidationError):
-            ris_link_channel(sc, sc.pos_ris)
 
     def test_bulk_phase_against_manual(self):
         sc = default_scenario()

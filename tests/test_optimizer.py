@@ -319,3 +319,21 @@ class TestCertifiedPick:
         lifted = lift(build_channel_set(default_scenario()), default_scenario())
         with pytest.raises(ValidationError, match="seed"):
             optimize_phases(lifted, OptimizerSettings(), seed=-1)
+
+
+class TestReportFromLift:
+    """optimize reports its pick from lift's factors, with evaluate's arithmetic."""
+
+    def test_final_report_equals_evaluate(self):
+        rng = np.random.default_rng(1818)
+        defaults = [default_scenario(k_rows=k, k_cols=k) for k in range(2, 11)]
+        broad = [make_random_scenario(rng) for _ in range(40)]
+        scenarios = (
+            defaults
+            + broad
+            + [dataclasses.replace(sc, p_jam=0.0) for sc in broad]
+            + [default_scenario(ris_enabled=False)]
+        )
+        for sc in scenarios:
+            res = optimize(sc, seed=0)
+            assert res.final_report == evaluate(sc, res.phases)

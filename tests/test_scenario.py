@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from risjam import (
@@ -101,10 +101,6 @@ class TestAoa:
         assert sin_vert == pytest.approx(0.8, rel=1e-14)
         assert sin_horiz == 0.0
         assert cos_horiz == 1.0
-
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValidationError):
-            aoa_angles(pos(1, 2, 3), pos(1, 2, 3))
 
     @given(finite, finite, st.floats(min_value=-1e6, max_value=-1.0), finite, finite)
     def test_normalization(self, sx, sy, sz, rx, ry):

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from risjam import (
     OptimizerSettings,
@@ -25,7 +23,9 @@ from risjam.sdp_core import (
     _feasible_dual_bound,
     _feasible_primal,
     _hermitize,
+    _hermitian,
     _psd_split,
+    _real_trace_product,
     extract_rank_one,
     solve_fractional_sdp,
 )
@@ -289,6 +289,94 @@ class TestUnsymmetrizedStep:
         for key in ("z", "u"):
             m = state[key]
             assert np.linalg.norm(0.5 * (m - m.conj().T)) <= 1e-10 * np.linalg.norm(m)
+
+
+def reference_feasible_primal(c, z):
+    """The primal rescaling as first written: np.diag copies and fill_diagonal."""
+    d = np.real(np.diag(z)).copy()
+    ok = d > 1e-12
+    s = np.zeros_like(d)
+    s[ok] = 1.0 / np.sqrt(d[ok])
+    x = z * np.outer(s, s)
+    if not np.all(ok):
+        bad = ~ok
+        x[bad, :] = 0.0
+        x[:, bad] = 0.0
+    x = _hermitize(x)
+    np.fill_diagonal(x, 1.0)
+    return _real_trace_product(c, x), x
+
+
+def reference_dual_bound(c, rho, u):
+    """The dual bound as first written, with Diag(y) - c built by np.diag."""
+    y = np.real(np.diag(c)) - rho * np.real(np.diag(u))
+    m = np.diag(y).astype(complex) - c
+    lam_min = float(np.linalg.eigvalsh(m)[0])
+    slack = _EIG_SAFETY * max(1.0, float(np.linalg.norm(m)))
+    mu = max(0.0, -(lam_min - slack))
+    return float(np.sum(y) + len(y) * mu)
+
+
+class TestCertificateKernels:
+    """The certificate's two bounds equal their first-written formulas bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_feasible_primal_bit_for_bit(self, n):
+        c = random_hermitian(n, 700 + n)
+        z = random_psd(n, 800 + n)
+        holed = z.copy()
+        holed[n // 2, :] = 0.0
+        holed[:, n // 2] = 0.0
+        # an ADMM iterate is Hermitian only up to rounding
+        skewed = z + 1e-15 * random_vector(n, 900 + n)[:, None]
+        for zz in (z, holed, skewed):
+            lb, x = _feasible_primal(c, zz)
+            ref_lb, ref_x = reference_feasible_primal(c, zz)
+            assert lb == ref_lb
+            assert x.tobytes() == ref_x.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_dual_bound_bit_for_bit(self, n):
+        c = random_hermitian(n, 1000 + n)
+        u = random_hermitian(n, 1100 + n) + 1e-15 * random_vector(n, 1200 + n)[:, None]
+        for rho in (1e-3, 0.7, 25.0):
+            assert _feasible_dual_bound(c, rho, u) == reference_dual_bound(c, rho, u)
+
+
+class TestNoCallerCopies:
+    """The solver reads a caller's arrays without writing or re-flagging them."""
+
+    def test_seeded_u_unchanged_when_rho_balancing_rescales(self):
+        c = random_hermitian(8, 21)
+        z0, u0, rho0 = random_psd(8, 22), 0.1 * random_hermitian(8, 23), 1e3
+        state = {"z": z0, "u": u0, "rho": rho0}
+        before = u0.copy(), z0.copy()
+        solve_unit_diag_sdp(c, tol=1e-15, max_iters=30, state=state)
+        assert state["rho"] != rho0
+        assert np.array_equal(u0, before[0])
+        assert np.array_equal(z0, before[1])
+
+    def test_exact_hermitian_caller_matrix_stays_writeable(self):
+        c = random_hermitian(6, 24)
+        assert not (c - c.conj().T).any()
+        kept = c.copy()
+        assert np.shares_memory(_hermitian(c), c)
+        solve_unit_diag_sdp(c, tol=1e-9)
+        assert c.flags.writeable
+        assert np.array_equal(c, kept)
+
+    def test_fortran_ordered_inputs_solve_alike(self):
+        c = random_hermitian(9, 25)
+        z0, u0 = random_psd(9, 26), 0.1 * random_hermitian(9, 27)
+        ref = solve_unit_diag_sdp(c, tol=1e-9, state={"z": z0, "u": u0})
+        sol = solve_unit_diag_sdp(
+            np.asfortranarray(c),
+            tol=1e-9,
+            state={"z": np.asfortranarray(z0), "u": np.asfortranarray(u0)},
+        )
+        assert sol.iterations == ref.iterations > 0
+        assert sol.objective == ref.objective
+        assert np.array_equal(sol.x_opt, ref.x_opt)
 
 
 class _FirstStepDone(Exception):
