@@ -3,9 +3,12 @@
 solve_unit_diag_sdp maximizes tr(C X) over {X Hermitian, X >= 0 (PSD),
 diag(X) = 1} with ADMM operator splitting: an affine projection (pin the
 diagonal) alternates with a PSD projection. From order _SPLIT_MIN_ORDER
-up, the projection is a rank-one correction certified by a Cholesky
-factorization whenever one side of the spectrum holds a single eigenvalue,
-which is the common case; otherwise it is a dense eigendecomposition.
+up, while one side of the spectrum holds at most one eigenvalue (the
+common case), a projection costs one Cholesky factorization, which
+certifies it: a lone eigenvector is refined by Rayleigh-Ritz on a Krylov
+space of dimension at most 3 (by a Rayleigh-quotient step, an LU solve,
+when that pair's residual is too large), and an empty side needs none.
+Otherwise the projection is a dense eigendecomposition.
 Convergence is declared only through a certified optimality gap that is
 valid at any iterate. It is checked at the start, at iterations 1, 2, 4, 8
 and 16, and then at every multiple of 25, so a solve that is certifiable
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +46,9 @@ _CHECK_EVERY = 25
 # Smallest order whose PSD projection tries the rank-one split before eigh;
 # below it a dense eigh is faster (measured on a 2-vCPU x86-64 host).
 _SPLIT_MIN_ORDER = 12
+# Largest accepted residual ||m x - theta x|| of a Ritz pair, per unit of
+# ||m||: a small multiple of the backward error a dense eigh guarantees.
+_RITZ_TOL = 64 * np.finfo(float).eps
 # Starting inner-SDP tolerance and step cap of the Dinkelbach iteration.
 _INNER_TOL = 1e-7
 _MAX_STEPS = 50
@@ -147,45 +154,129 @@ def _feasible_dual_bound(c: np.ndarray, rho: float, u: np.ndarray) -> float:
     return float(np.sum(y) + len(y) * mu)
 
 
-def _psd_split(m: np.ndarray, lone):
+class _Lone(NamedTuple):
+    """What one _psd_split passes to the next about one side of the spectrum.
+
+    v estimates the eigenvector of the single eigenvalue on the negative (or,
+    if not negative, positive) side of the next iterate; v is None when that
+    side held no eigenvalue. krylov is False once a Ritz pair was rejected,
+    until the next dense eigh reseeds the estimate.
+    """
+
+    v: np.ndarray | None
+    negative: bool
+    krylov: bool = True
+
+
+def _ritz(m: np.ndarray, v: np.ndarray, mv: np.ndarray, lam: float, negative: bool, tol: float):
+    """(x, m x) for m's extreme Ritz pair on one side, or None.
+
+    Rayleigh-Ritz on the Krylov space {v, m v}, in closed form, widened to
+    {v, m v, m^2 v} when that pair's residual exceeds tol; each new basis
+    vector is reorthogonalized against the earlier ones. v is a unit vector,
+    mv = m v and lam = v^H m v. The pair is returned only if its residual
+    ||m x - theta x|| is at most tol; the Ritz value theta is the least
+    (negative) or the greatest of the projected matrix.
+    """
+    r = mv - lam * v
+    r -= np.vdot(v, r) * v
+    beta = np.linalg.norm(r)
+    if beta <= tol:  # v is an eigenvector to working accuracy
+        return v, mv
+    q = r / beta
+    mq = m @ q
+    gamma = np.vdot(q, mq).real
+    half = 0.5 * (lam - gamma)
+    root = math.hypot(half, beta)
+    theta = 0.5 * (lam + gamma) + (-root if negative else root)
+    # eigenvector of [[lam, beta], [beta, gamma]] from its better-conditioned row
+    if abs(theta - gamma) >= abs(theta - lam):
+        c, s = theta - gamma, beta
+    else:
+        c, s = beta, theta - lam
+    norm = math.hypot(c, s)
+    x = (c / norm) * v + (s / norm) * q
+    mx = (c / norm) * mv + (s / norm) * mq
+    r = mx - theta * x
+    if np.linalg.norm(r) <= tol:
+        return x, mx
+    r -= np.vdot(v, r) * v
+    r -= np.vdot(q, r) * q
+    r /= np.linalg.norm(r)
+    basis = np.column_stack((v, q, r))
+    images = np.column_stack((mv, mq, m @ r))
+    w, y = np.linalg.eigh(basis.conj().T @ images)
+    k = 0 if negative else -1
+    x = basis @ y[:, k]
+    mx = images @ y[:, k]
+    return (x, mx) if np.linalg.norm(mx - w[k] * x) <= tol else None
+
+
+def _psd_split(m: np.ndarray, lone: _Lone | None):
     """(P(m), m - P(m), lone') with P the projection onto the PSD cone.
 
-    lone is None or (v, negative): an estimate v of the eigenvector of the
-    single eigenvalue on m's negative (or, if not negative, positive) side.
-    Then one Rayleigh-quotient step refines v, the lone part is lam v v^H
-    with lam = v^H m v, and a Cholesky factorization of the other part,
-    shifted by _EIG_SAFETY*||m||, certifies that it is semidefinite; the two
-    parts are trace-orthogonal by the choice of lam, so they are the two
-    projections. Otherwise (no estimate, lam of the wrong sign, or a failed
-    factorization) a dense eigh splits m, and at orders of at least
-    _SPLIT_MIN_ORDER it seeds lone' for the next call when one side of the
-    spectrum holds a single eigenvalue.
+    lone is None or a _Lone about the side of m's spectrum that held at most
+    one eigenvalue at the previous call. Every path that skips the dense
+    eigh costs one O(n^3) factorization, a Cholesky factorization shifted
+    by _EIG_SAFETY*||m|| that certifies the split:
+    - v given: v is refined by _ritz, accepted when its residual is at most
+      _RITZ_TOL*||m||, the backward error of a dense eigh; otherwise, and
+      from then on until the next eigh, by one Rayleigh-quotient step, an LU
+      solve shifted by v^H m v. With lam = v^H m v of the refined v on the
+      expected side, the lone part is lam v v^H and the factorization
+      certifies that the other part is semidefinite; the two parts are
+      trace-orthogonal by the choice of lam, so they are the two projections.
+    - v None, or lam on the wrong side (the lone eigenvalue crossed zero):
+      the side is empty, the factorization certifies that m (or -m) is
+      semidefinite, and the split is m and a zero matrix.
+    Otherwise (no estimate, or a failed factorization) a dense eigh splits
+    m, and at orders of at least _SPLIT_MIN_ORDER it seeds lone' for the
+    next call when one side of the spectrum holds at most one eigenvalue.
+    Every returned array is new, or m itself.
     """
     n = m.shape[0]
     if lone is not None:
-        v, negative = lone
+        v, negative, krylov = lone
         try:
-            shifted = m.copy()
-            diag = _diag(shifted)
-            diag -= np.vdot(v, m @ v).real
-            v = np.linalg.solve(shifted, v)
-            v /= np.linalg.norm(v)
-            lam = np.vdot(v, m @ v).real
-            if (lam < 0.0) if negative else (lam > 0.0):
+            scale = np.linalg.norm(m)
+            if v is not None:
+                mv = m @ v
+                lam = np.vdot(v, mv).real
+                pair = _ritz(m, v, mv, lam, negative, _RITZ_TOL * scale) if krylov else None
+                if pair is None:
+                    krylov = False
+                    shifted = m.copy()
+                    diag = _diag(shifted)
+                    diag -= lam
+                    v = np.linalg.solve(shifted, v)
+                    v /= np.linalg.norm(v)
+                    mv = m @ v
+                else:
+                    v, mv = pair
+                lam = np.vdot(v, mv).real
+                if not ((lam < 0.0) if negative else (lam > 0.0)):
+                    v = None  # the lone eigenvalue crossed zero: its side is empty
+            if v is None:
+                zero = np.zeros_like(m)
+                side, split = (m.copy(), (m, zero)) if negative else (-m, (zero, m))
+            else:
                 part = lam * np.outer(v, v.conj())
                 rest = m - part
-                side = rest.copy() if negative else -rest
-                diag = _diag(side)
-                diag += _EIG_SAFETY * np.linalg.norm(m)
-                np.linalg.cholesky(side)
-                return (rest, part, (v, True)) if negative else (part, rest, (v, False))
+                side, split = (rest.copy(), (rest, part)) if negative else (-rest, (part, rest))
+            diag = _diag(side)
+            diag += _EIG_SAFETY * scale
+            np.linalg.cholesky(side)
+            return (*split, _Lone(v, negative, krylov))
         except np.linalg.LinAlgError:
             pass
     w, q = np.linalg.eigh(m)
     lone = None
     if n >= _SPLIT_MIN_ORDER:
         n_neg = int(np.count_nonzero(w < 0.0))
-        lone = (q[:, 0], True) if n_neg == 1 else (q[:, -1], False) if n_neg == n - 1 else None
+        if n_neg <= 1:
+            lone = _Lone(q[:, 0] if n_neg else None, True)
+        elif n_neg >= n - 1:
+            lone = _Lone(q[:, -1] if n_neg < n else None, False)
     np.maximum(w, 0.0, out=w)
     z = (q * w) @ q.conj().T
     return z, m - z, lone
@@ -206,8 +297,8 @@ def solve_unit_diag_sdp(
     finite, rho > 0), each missing key starts cold (z = I, u = 0,
     rho = max(||c||/n, 1e-12)), and any dict is updated with the final state.
     Each iteration projects onto the PSD cone with _psd_split, which skips
-    the dense eigh at order >= _SPLIT_MIN_ORDER while the iterate keeps a
-    single eigenvalue on one side of its spectrum.
+    the dense eigh at order >= _SPLIT_MIN_ORDER while one side of the
+    iterate's spectrum keeps at most one eigenvalue.
     """
     cm = _hermitian(c)
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -217,16 +308,18 @@ def solve_unit_diag_sdp(
 
     seeded = state or {}
     # The loop writes diagonals through C-order strided views (_diag), so
-    # seeded arrays are taken C-contiguous. z is only read and rebound, so
-    # a C-contiguous complex z is used in place; u is always copied, so the
-    # in-place rho rescaling can never reach the caller's array.
+    # seeded arrays are taken C-contiguous; a C-contiguous complex z or u is
+    # used in place and never written. The in-place rho rescaling runs only
+    # at it % 10 == 0, after that iteration's _psd_split has replaced u with
+    # a new array (or with the loop's own m), so it never reaches the
+    # caller's u.
     z = (
         np.ascontiguousarray(seeded["z"], dtype=complex)
         if "z" in seeded
         else np.eye(n, dtype=complex)
     )
     u = (
-        np.array(seeded["u"], dtype=complex, order="C")
+        np.ascontiguousarray(seeded["u"], dtype=complex)
         if "u" in seeded
         else np.zeros((n, n), dtype=complex)
     )
@@ -255,11 +348,12 @@ def solve_unit_diag_sdp(
         best_ub = min(best_ub, _feasible_dual_bound(cm, rho, u))
         return max(0.0, best_ub - best_lb) <= tol * (1.0 + abs(best_lb))
 
-    # The iterates are not symmetrized: eigh reads only the lower triangle
-    # of m, and the anti-Hermitian rounding carried in u is scaled by
-    # 1 - alpha each step, so it stays at rounding level. A rank-one split
-    # with a lone negative eigenvalue leaves that rounding in z instead,
-    # which carries it unscaled, so it grows only by the new rounding.
+    # The iterates are not symmetrized: eigh and cholesky read only the lower
+    # triangle of m, and the anti-Hermitian rounding carried in u is scaled
+    # by 1 - alpha each step, so it stays at rounding level. A split with a
+    # lone negative eigenvalue or an empty negative side leaves that rounding
+    # in z instead, which carries it unscaled, so it grows only by the new
+    # rounding.
     converged = certify()
     if not converged:
         c_rho = cm / rho
@@ -343,16 +437,16 @@ def solve_fractional_sdp(
     # np.outer's complex products are conjugate-symmetric only up to rounding
     # (numpy may fuse the multiply-add), so both are symmetrized once here.
     # Then every C = a - lam*b is exactly Hermitian, and _hermitian passes
-    # it to the inner solve without a copy.
-    num = _hermitize(np.outer(w_num, w_num.conj()))
-    den = _hermitize(np.outer(w_den, w_den.conj()))
+    # it to the inner solve without a copy. Both are scaled in place.
+    a = _hermitize(np.outer(w_num, w_num.conj()))
+    b = _hermitize(np.outer(w_den, w_den.conj()))
     scale = (
-        num_scale * float(np.real(np.trace(num)))
-        + den_scale * float(np.real(np.trace(den)))
+        num_scale * float(np.real(np.trace(a)))
+        + den_scale * float(np.real(np.trace(b)))
         + den_offset
     )
-    a = (num_scale / scale) * num
-    b = (den_scale / scale) * den
+    a *= num_scale / scale
+    b *= den_scale / scale
     off = den_offset / scale
 
     def ratio_parts(v: np.ndarray) -> tuple:

@@ -20,6 +20,7 @@ from risjam.sdp_core import (
     _SPLIT_MIN_ORDER,
     FractionalSolution,
     SdpSolution,
+    _Lone,
     _feasible_dual_bound,
     _feasible_primal,
     _hermitize,
@@ -356,6 +357,12 @@ class TestNoCallerCopies:
         assert np.array_equal(u0, before[0])
         assert np.array_equal(z0, before[1])
 
+    def test_seeded_u_is_read_in_place(self):
+        u0 = 0.1 * random_hermitian(8, 28)
+        state = {"z": random_psd(8, 29), "u": u0, "rho": 1.0}
+        solve_unit_diag_sdp(random_hermitian(8, 30), max_iters=0, state=state)
+        assert state["u"] is u0
+
     def test_exact_hermitian_caller_matrix_stays_writeable(self):
         c = random_hermitian(6, 24)
         assert not (c - c.conj().T).any()
@@ -449,16 +456,57 @@ def eigh_projection(m):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Counts the np.linalg.eigh calls made after the fixture is set up."""
+    """Counts the dense np.linalg.eigh calls made after the fixture is set up.
+
+    The 3x3 Rayleigh-Ritz eigh of _psd_split's Krylov step is not counted;
+    every test that takes this fixture works at orders of at least 11.
+    """
     calls = []
     original = np.linalg.eigh
 
     def counting(a):
-        calls.append(a.shape[0])
+        if a.shape[0] != 3:
+            calls.append(a.shape[0])
         return original(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return calls
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts the np.linalg.solve calls made after the fixture is set up."""
+    calls = []
+    original = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def with_spectrum(w, seed):
+    """(m, q): a Hermitian m = q diag(w) q^H with random unitary q."""
+    _, q = np.linalg.eigh(random_hermitian(len(w), seed))
+    return _hermitize((q * w) @ q.conj().T), q
+
+
+def nearby(m, seed):
+    """m plus a Hermitian perturbation of relative size about 1e-6."""
+    return m + 1e-6 * np.linalg.norm(m) * random_hermitian(m.shape[0], seed) / m.shape[0]
+
+
+def assert_is_projection(m, z, u):
+    projection = eigh_projection(m)
+    scale = np.linalg.norm(m)
+    assert np.linalg.norm(z - projection) <= 1e-12 * scale
+    assert np.linalg.norm(u - (m - projection)) <= 1e-12 * scale
+
+
+SIDES = pytest.mark.parametrize("negative", [True, False], ids=["negative", "positive"])
+ORDERS = pytest.mark.parametrize("n", [12, 40, 101])
 
 
 class TestPsdSplit:
@@ -474,7 +522,7 @@ class TestPsdSplit:
         estimate = q_near[:, 0] if negative else q_near[:, -1]
         projection = eigh_projection(m)
         del eigh_calls[:]
-        z, u, lone = _psd_split(m, (estimate, negative))
+        z, u, lone = _psd_split(m, _Lone(estimate, negative))
         assert eigh_calls == []
         assert np.linalg.norm(z - projection) <= 1e-12 * scale
         assert np.linalg.norm(u - (m - projection)) <= 1e-12 * scale
@@ -489,7 +537,7 @@ class TestPsdSplit:
         m, q = lone_sided(n, n, negative, flips=2)
         projection = eigh_projection(m)
         del eigh_calls[:]
-        z, u, lone = _psd_split(m, (q[:, 0], negative))
+        z, u, lone = _psd_split(m, _Lone(q[:, 0], negative))
         assert eigh_calls == [n]
         scale = np.linalg.norm(m)
         assert np.linalg.norm(z - projection) <= 1e-12 * scale
@@ -503,7 +551,7 @@ class TestPsdSplit:
         _, q_other = lone_sided(n, n + 1, negative)
         projection = eigh_projection(m)
         del eigh_calls[:]
-        z, u, lone = _psd_split(m, (q_other[:, 0], negative))
+        z, u, lone = _psd_split(m, _Lone(q_other[:, 0], negative))
         assert eigh_calls == [n]
         scale = np.linalg.norm(m)
         assert np.linalg.norm(z - projection) <= 1e-12 * scale
@@ -517,6 +565,99 @@ class TestPsdSplit:
         z, u, lone = _psd_split(m, None)
         assert lone is None
         assert np.linalg.norm(z - eigh_projection(m)) <= 1e-12 * np.linalg.norm(m)
+
+    @SIDES
+    @ORDERS
+    def test_empty_side_that_stays_empty_skips_eigh(self, n, negative, eigh_calls):
+        sign = 1.0 if negative else -1.0
+        m0, _ = with_spectrum(sign * np.linspace(1.0, n, n), n)
+        del eigh_calls[:]
+        z, u, lone = _psd_split(m0, None)
+        assert eigh_calls == [n]  # the reseed
+        assert lone.v is None and lone.negative == negative
+        m1 = nearby(m0, n + 1)
+        del eigh_calls[:]
+        z, u, lone = _psd_split(m1, lone)
+        assert eigh_calls == []
+        assert lone.v is None and lone.negative == negative
+        assert (z if negative else u) is m1
+        assert not (u if negative else z).any()
+        assert_is_projection(m1, z, u)
+
+    @SIDES
+    @ORDERS
+    def test_empty_side_that_gains_an_eigenvalue_falls_back_and_reseeds(self, n, negative, eigh_calls):
+        sign = 1.0 if negative else -1.0
+        w = sign * np.linspace(1.0, n, n)
+        w[0] = -sign  # one eigenvalue crosses to the side that was empty
+        m, q = with_spectrum(w, n)
+        del eigh_calls[:]
+        z, u, lone = _psd_split(m, _Lone(None, negative))
+        assert eigh_calls == [n]
+        assert lone.negative == negative and lone.krylov
+        assert abs(np.vdot(lone.v, q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+        assert_is_projection(m, z, u)
+
+    @SIDES
+    @ORDERS
+    def test_lone_eigenvalue_crossing_zero_takes_the_cholesky_path(self, n, negative, eigh_calls):
+        sign = 1.0 if negative else -1.0
+        w = sign * np.linspace(1.0, n, n)
+        w[0] = -sign
+        m0, q = with_spectrum(w, n)
+        w[0] = 1e-3 * sign  # the lone eigenvalue moves across zero
+        m1 = _hermitize((q * w) @ q.conj().T)
+        _, q_near = np.linalg.eigh(nearby(m0, n + 1))
+        estimate = q_near[:, 0] if negative else q_near[:, -1]
+        del eigh_calls[:]
+        z, u, lone = _psd_split(m1, _Lone(estimate, negative))
+        assert eigh_calls == []
+        assert lone.v is None and lone.negative == negative
+        assert (z if negative else u) is m1
+        assert_is_projection(m1, z, u)
+
+    @SIDES
+    @ORDERS
+    def test_three_cluster_spectrum_needs_no_solve(self, n, negative, eigh_calls, solve_calls):
+        # like the default geometry's iterates: one eigenvalue near n and a
+        # tight cluster near 1 on one side, a lone eigenvalue on the other
+        sign = 1.0 if negative else -1.0
+        w = sign * (1.0 + 1e-9 * np.linspace(0.0, 1.0, n))
+        w[0], w[-1] = -sign * 0.3, sign * n
+        m, q = with_spectrum(w, 700 + n)
+        _, q_near = np.linalg.eigh(nearby(m, 800 + n))
+        estimate = q_near[:, 0] if negative else q_near[:, -1]
+        del eigh_calls[:]
+        z, u, lone = _psd_split(m, _Lone(estimate, negative))
+        assert eigh_calls == [] and solve_calls == []
+        assert lone.negative == negative and lone.krylov
+        assert abs(np.vdot(lone.v, q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+        assert_is_projection(m, z, u)
+
+    @SIDES
+    @ORDERS
+    def test_spread_spectrum_falls_back_to_lu_then_skips_krylov(
+        self, n, negative, monkeypatch, eigh_calls, solve_calls
+    ):
+        ritz_calls = []
+        ritz = sdp_core._ritz
+        monkeypatch.setattr(
+            sdp_core, "_ritz", lambda *args: ritz_calls.append(args[0].shape[0]) or ritz(*args)
+        )
+        m0, q = lone_sided(n, 900 + n, negative)
+        _, q_near = np.linalg.eigh(nearby(m0, 1000 + n))
+        estimate = q_near[:, 0] if negative else q_near[:, -1]
+        m1 = nearby(m0, 1100 + n)
+        del eigh_calls[:]
+        z0, u0, lone = _psd_split(m0, _Lone(estimate, negative))
+        assert (ritz_calls, solve_calls, eigh_calls) == ([n], [n], [])
+        assert lone.negative == negative and not lone.krylov
+        assert abs(np.vdot(lone.v, q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+        z1, u1, lone = _psd_split(m1, lone)
+        assert (ritz_calls, solve_calls, eigh_calls) == ([n], [n, n], [])
+        assert lone.negative == negative and not lone.krylov
+        assert_is_projection(m0, z0, u0)
+        assert_is_projection(m1, z1, u1)
 
     @pytest.mark.parametrize("n", [_SPLIT_MIN_ORDER - 1, _SPLIT_MIN_ORDER, 40])
     def test_solver_eigh_calls_by_order(self, n, eigh_calls):
