@@ -5,8 +5,8 @@ diag(X) = 1} with ADMM operator splitting: an affine projection (pin the
 diagonal) alternates with a PSD projection. From order _SPLIT_MIN_ORDER
 up, while one side of the spectrum holds at most one eigenvalue (the
 common case), a projection costs one Cholesky factorization, which
-certifies it: a lone eigenvector is refined by Rayleigh-Ritz on a Krylov
-space of dimension at most 3 (by a Rayleigh-quotient step, an LU solve,
+certifies it: a lone eigenvector is refined by Rayleigh-Ritz on the
+Krylov space {v, m v, m^2 v} (by a Rayleigh-quotient step, an LU solve,
 when that pair's residual is too large), and an empty side needs none.
 Otherwise the projection is a dense eigendecomposition.
 Convergence is declared only through a certified optimality gap that is
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -154,29 +153,14 @@ def _feasible_dual_bound(c: np.ndarray, rho: float, u: np.ndarray) -> float:
     return float(np.sum(y) + len(y) * mu)
 
 
-class _Lone(NamedTuple):
-    """What one _psd_split passes to the next about one side of the spectrum.
-
-    v estimates the eigenvector of the single eigenvalue on the negative (or,
-    if not negative, positive) side of the next iterate; v is None when that
-    side held no eigenvalue. krylov is False once a Ritz pair was rejected,
-    until the next dense eigh reseeds the estimate.
-    """
-
-    v: np.ndarray | None
-    negative: bool
-    krylov: bool = True
-
-
 def _ritz(m: np.ndarray, v: np.ndarray, mv: np.ndarray, lam: float, negative: bool, tol: float):
     """(x, m x) for m's extreme Ritz pair on one side, or None.
 
-    Rayleigh-Ritz on the Krylov space {v, m v}, in closed form, widened to
-    {v, m v, m^2 v} when that pair's residual exceeds tol; each new basis
-    vector is reorthogonalized against the earlier ones. v is a unit vector,
-    mv = m v and lam = v^H m v. The pair is returned only if its residual
-    ||m x - theta x|| is at most tol; the Ritz value theta is the least
-    (negative) or the greatest of the projected matrix.
+    Rayleigh-Ritz on the Krylov space {v, m v, m^2 v}, built by Lanczos with
+    each new basis vector reorthogonalized against the earlier ones. v is a
+    unit vector, mv = m v and lam = v^H m v. The pair is returned only if
+    its residual ||m x - theta x|| is at most tol; the Ritz value theta is
+    the least (negative) or the greatest eigenvalue of the projected matrix.
     """
     r = mv - lam * v
     r -= np.vdot(v, r) * v
@@ -185,21 +169,7 @@ def _ritz(m: np.ndarray, v: np.ndarray, mv: np.ndarray, lam: float, negative: bo
         return v, mv
     q = r / beta
     mq = m @ q
-    gamma = np.vdot(q, mq).real
-    half = 0.5 * (lam - gamma)
-    root = math.hypot(half, beta)
-    theta = 0.5 * (lam + gamma) + (-root if negative else root)
-    # eigenvector of [[lam, beta], [beta, gamma]] from its better-conditioned row
-    if abs(theta - gamma) >= abs(theta - lam):
-        c, s = theta - gamma, beta
-    else:
-        c, s = beta, theta - lam
-    norm = math.hypot(c, s)
-    x = (c / norm) * v + (s / norm) * q
-    mx = (c / norm) * mv + (s / norm) * mq
-    r = mx - theta * x
-    if np.linalg.norm(r) <= tol:
-        return x, mx
+    r = mq - np.vdot(q, mq).real * q - beta * v
     r -= np.vdot(v, r) * v
     r -= np.vdot(q, r) * q
     r /= np.linalg.norm(r)
@@ -212,20 +182,22 @@ def _ritz(m: np.ndarray, v: np.ndarray, mv: np.ndarray, lam: float, negative: bo
     return (x, mx) if np.linalg.norm(mx - w[k] * x) <= tol else None
 
 
-def _psd_split(m: np.ndarray, lone: _Lone | None):
+def _psd_split(m: np.ndarray, lone):
     """(P(m), m - P(m), lone') with P the projection onto the PSD cone.
 
-    lone is None or a _Lone about the side of m's spectrum that held at most
-    one eigenvalue at the previous call. Every path that skips the dense
-    eigh costs one O(n^3) factorization, a Cholesky factorization shifted
-    by _EIG_SAFETY*||m|| that certifies the split:
+    lone is None or (v, negative) about the side of m's spectrum, negative
+    or (if not negative) positive, that held at most one eigenvalue at the
+    previous call: v estimates that eigenvalue's eigenvector, or is None
+    when the side held none. Every path that skips the dense eigh costs one
+    O(n^3) factorization, a Cholesky factorization shifted by
+    _EIG_SAFETY*||m|| that certifies the split:
     - v given: v is refined by _ritz, accepted when its residual is at most
-      _RITZ_TOL*||m||, the backward error of a dense eigh; otherwise, and
-      from then on until the next eigh, by one Rayleigh-quotient step, an LU
-      solve shifted by v^H m v. With lam = v^H m v of the refined v on the
-      expected side, the lone part is lam v v^H and the factorization
-      certifies that the other part is semidefinite; the two parts are
-      trace-orthogonal by the choice of lam, so they are the two projections.
+      _RITZ_TOL*||m||, the backward error of a dense eigh; otherwise by one
+      Rayleigh-quotient step, an LU solve shifted by v^H m v. With
+      lam = v^H m v of the refined v on the expected side, the lone part is
+      lam v v^H and the factorization certifies that the other part is
+      semidefinite; the two parts are trace-orthogonal by the choice of
+      lam, so they are the two projections.
     - v None, or lam on the wrong side (the lone eigenvalue crossed zero):
       the side is empty, the factorization certifies that m (or -m) is
       semidefinite, and the split is m and a zero matrix.
@@ -236,15 +208,14 @@ def _psd_split(m: np.ndarray, lone: _Lone | None):
     """
     n = m.shape[0]
     if lone is not None:
-        v, negative, krylov = lone
+        v, negative = lone
         try:
             scale = np.linalg.norm(m)
             if v is not None:
                 mv = m @ v
                 lam = np.vdot(v, mv).real
-                pair = _ritz(m, v, mv, lam, negative, _RITZ_TOL * scale) if krylov else None
+                pair = _ritz(m, v, mv, lam, negative, _RITZ_TOL * scale)
                 if pair is None:
-                    krylov = False
                     shifted = m.copy()
                     diag = _diag(shifted)
                     diag -= lam
@@ -266,7 +237,7 @@ def _psd_split(m: np.ndarray, lone: _Lone | None):
             diag = _diag(side)
             diag += _EIG_SAFETY * scale
             np.linalg.cholesky(side)
-            return (*split, _Lone(v, negative, krylov))
+            return (*split, (v, negative))
         except np.linalg.LinAlgError:
             pass
     w, q = np.linalg.eigh(m)
@@ -274,9 +245,9 @@ def _psd_split(m: np.ndarray, lone: _Lone | None):
     if n >= _SPLIT_MIN_ORDER:
         n_neg = int(np.count_nonzero(w < 0.0))
         if n_neg <= 1:
-            lone = _Lone(q[:, 0] if n_neg else None, True)
+            lone = (q[:, 0] if n_neg else None), True
         elif n_neg >= n - 1:
-            lone = _Lone(q[:, -1] if n_neg < n else None, False)
+            lone = (q[:, -1] if n_neg < n else None), False
     np.maximum(w, 0.0, out=w)
     z = (q * w) @ q.conj().T
     return z, m - z, lone

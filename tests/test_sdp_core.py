@@ -20,7 +20,6 @@ from risjam.sdp_core import (
     _SPLIT_MIN_ORDER,
     FractionalSolution,
     SdpSolution,
-    _Lone,
     _feasible_dual_bound,
     _feasible_primal,
     _hermitize,
@@ -522,7 +521,7 @@ class TestPsdSplit:
         estimate = q_near[:, 0] if negative else q_near[:, -1]
         projection = eigh_projection(m)
         del eigh_calls[:]
-        z, u, lone = _psd_split(m, _Lone(estimate, negative))
+        z, u, lone = _psd_split(m, (estimate, negative))
         assert eigh_calls == []
         assert np.linalg.norm(z - projection) <= 1e-12 * scale
         assert np.linalg.norm(u - (m - projection)) <= 1e-12 * scale
@@ -537,7 +536,7 @@ class TestPsdSplit:
         m, q = lone_sided(n, n, negative, flips=2)
         projection = eigh_projection(m)
         del eigh_calls[:]
-        z, u, lone = _psd_split(m, _Lone(q[:, 0], negative))
+        z, u, lone = _psd_split(m, (q[:, 0], negative))
         assert eigh_calls == [n]
         scale = np.linalg.norm(m)
         assert np.linalg.norm(z - projection) <= 1e-12 * scale
@@ -551,7 +550,7 @@ class TestPsdSplit:
         _, q_other = lone_sided(n, n + 1, negative)
         projection = eigh_projection(m)
         del eigh_calls[:]
-        z, u, lone = _psd_split(m, _Lone(q_other[:, 0], negative))
+        z, u, lone = _psd_split(m, (q_other[:, 0], negative))
         assert eigh_calls == [n]
         scale = np.linalg.norm(m)
         assert np.linalg.norm(z - projection) <= 1e-12 * scale
@@ -574,12 +573,12 @@ class TestPsdSplit:
         del eigh_calls[:]
         z, u, lone = _psd_split(m0, None)
         assert eigh_calls == [n]  # the reseed
-        assert lone.v is None and lone.negative == negative
+        assert lone == (None, negative)
         m1 = nearby(m0, n + 1)
         del eigh_calls[:]
         z, u, lone = _psd_split(m1, lone)
         assert eigh_calls == []
-        assert lone.v is None and lone.negative == negative
+        assert lone == (None, negative)
         assert (z if negative else u) is m1
         assert not (u if negative else z).any()
         assert_is_projection(m1, z, u)
@@ -592,10 +591,10 @@ class TestPsdSplit:
         w[0] = -sign  # one eigenvalue crosses to the side that was empty
         m, q = with_spectrum(w, n)
         del eigh_calls[:]
-        z, u, lone = _psd_split(m, _Lone(None, negative))
+        z, u, lone = _psd_split(m, (None, negative))
         assert eigh_calls == [n]
-        assert lone.negative == negative and lone.krylov
-        assert abs(np.vdot(lone.v, q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+        assert lone[1] == negative
+        assert abs(np.vdot(lone[0], q[:, 0])) == pytest.approx(1.0, abs=1e-12)
         assert_is_projection(m, z, u)
 
     @SIDES
@@ -610,9 +609,9 @@ class TestPsdSplit:
         _, q_near = np.linalg.eigh(nearby(m0, n + 1))
         estimate = q_near[:, 0] if negative else q_near[:, -1]
         del eigh_calls[:]
-        z, u, lone = _psd_split(m1, _Lone(estimate, negative))
+        z, u, lone = _psd_split(m1, (estimate, negative))
         assert eigh_calls == []
-        assert lone.v is None and lone.negative == negative
+        assert lone == (None, negative)
         assert (z if negative else u) is m1
         assert_is_projection(m1, z, u)
 
@@ -628,17 +627,16 @@ class TestPsdSplit:
         _, q_near = np.linalg.eigh(nearby(m, 800 + n))
         estimate = q_near[:, 0] if negative else q_near[:, -1]
         del eigh_calls[:]
-        z, u, lone = _psd_split(m, _Lone(estimate, negative))
+        z, u, lone = _psd_split(m, (estimate, negative))
         assert eigh_calls == [] and solve_calls == []
-        assert lone.negative == negative and lone.krylov
-        assert abs(np.vdot(lone.v, q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+        assert lone[1] == negative
+        assert abs(np.vdot(lone[0], q[:, 0])) == pytest.approx(1.0, abs=1e-12)
         assert_is_projection(m, z, u)
 
     @SIDES
     @ORDERS
-    def test_spread_spectrum_falls_back_to_lu_then_skips_krylov(
-        self, n, negative, monkeypatch, eigh_calls, solve_calls
-    ):
+    def test_spread_spectrum_falls_back_to_lu(self, n, negative, monkeypatch, eigh_calls, solve_calls):
+        # every call tries the Krylov step first, then one LU solve
         ritz_calls = []
         ritz = sdp_core._ritz
         monkeypatch.setattr(
@@ -649,13 +647,13 @@ class TestPsdSplit:
         estimate = q_near[:, 0] if negative else q_near[:, -1]
         m1 = nearby(m0, 1100 + n)
         del eigh_calls[:]
-        z0, u0, lone = _psd_split(m0, _Lone(estimate, negative))
+        z0, u0, lone = _psd_split(m0, (estimate, negative))
         assert (ritz_calls, solve_calls, eigh_calls) == ([n], [n], [])
-        assert lone.negative == negative and not lone.krylov
-        assert abs(np.vdot(lone.v, q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+        assert lone[1] == negative
+        assert abs(np.vdot(lone[0], q[:, 0])) == pytest.approx(1.0, abs=1e-12)
         z1, u1, lone = _psd_split(m1, lone)
-        assert (ritz_calls, solve_calls, eigh_calls) == ([n], [n, n], [])
-        assert lone.negative == negative and not lone.krylov
+        assert (ritz_calls, solve_calls, eigh_calls) == ([n, n], [n, n], [])
+        assert lone[1] == negative
         assert_is_projection(m0, z0, u0)
         assert_is_projection(m1, z1, u1)
 
