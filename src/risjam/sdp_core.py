@@ -172,9 +172,14 @@ def _ritz(m: np.ndarray, v: np.ndarray, mv: np.ndarray, lam: float, negative: bo
     r = mq - np.vdot(q, mq).real * q - beta * v
     r -= np.vdot(v, r) * v
     r -= np.vdot(q, r) * q
-    r /= np.linalg.norm(r)
-    basis = np.column_stack((v, q, r))
-    images = np.column_stack((mv, mq, m @ r))
+    basis, images = [v, q], [mv, mq]
+    delta = np.linalg.norm(r)
+    if delta > 0.0:  # otherwise {v, m v} is an invariant subspace
+        r /= delta
+        basis.append(r)
+        images.append(m @ r)
+    basis = np.column_stack(basis)
+    images = np.column_stack(images)
     w, y = np.linalg.eigh(basis.conj().T @ images)
     k = 0 if negative else -1
     x = basis @ y[:, k]

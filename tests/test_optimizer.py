@@ -345,7 +345,7 @@ class TestWorkBudget:
     Measured on one x86-64 host with OpenBLAS 0.3.31, equal under 1 and 2
     BLAS threads: 650 ADMM steps, 0 solve, 18 eigh and 640 cholesky calls
     at order 101. The counts depend on rounding, so another BLAS build may
-    differ: the largest Ritz residual there was 32.4 eps ||m||, half the
+    differ: the largest Ritz residual there was 31.5 eps ||m||, half the
     acceptance limit, and a pair over the limit costs one LU solve. The
     cholesky bound holds on any host. Never raise a budget to let a slower
     change pass.

@@ -457,14 +457,15 @@ def eigh_projection(m):
 def eigh_calls(monkeypatch):
     """Counts the dense np.linalg.eigh calls made after the fixture is set up.
 
-    The 3x3 Rayleigh-Ritz eigh of _psd_split's Krylov step is not counted;
-    every test that takes this fixture works at orders of at least 11.
+    The 2x2 or 3x3 Rayleigh-Ritz eigh of _psd_split's Krylov step is not
+    counted; every test that takes this fixture works at orders of at least
+    11.
     """
     calls = []
     original = np.linalg.eigh
 
     def counting(a):
-        if a.shape[0] != 3:
+        if a.shape[0] > 3:
             calls.append(a.shape[0])
         return original(a)
 
@@ -631,6 +632,22 @@ class TestPsdSplit:
         assert eigh_calls == [] and solve_calls == []
         assert lone[1] == negative
         assert abs(np.vdot(lone[0], q[:, 0])) == pytest.approx(1.0, abs=1e-12)
+        assert_is_projection(m, z, u)
+
+    @SIDES
+    @ORDERS
+    def test_invariant_krylov_plane_needs_no_solve(self, n, negative, eigh_calls, solve_calls):
+        # {v, m v} is exactly invariant: the Ritz pair comes from that plane
+        sign = 1.0 if negative else -1.0
+        w = sign * np.linspace(1.0, n, n)
+        w[0], w[1] = -sign, sign
+        m = np.diag(w).astype(complex)
+        v = np.zeros(n, dtype=complex)
+        v[:2] = 2**-0.5
+        z, u, lone = _psd_split(m, (v, negative))
+        assert eigh_calls == [] and solve_calls == []
+        assert lone[1] == negative
+        assert abs(lone[0][0]) == pytest.approx(1.0, abs=1e-12)
         assert_is_projection(m, z, u)
 
     @SIDES
