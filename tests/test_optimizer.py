@@ -344,9 +344,10 @@ class TestWorkBudget:
 
     Measured on one x86-64 host with OpenBLAS 0.3.31, equal under 1 and 2
     BLAS threads: 650 ADMM steps, 0 solve, 18 eigh and 640 cholesky calls
-    at order 101. The counts depend on rounding, so another BLAS build may
-    differ: the largest Ritz residual there was 31.5 eps ||m||, half the
-    acceptance limit, and a pair over the limit costs one LU solve. The
+    at order 101 (the 3x3 Ritz eigh calls, 198 and 243, are not counted).
+    The counts depend on rounding, so another BLAS build may differ; an LU
+    solve runs only when the 3x3 Ritz pair's residual exceeds 64 eps ||m||,
+    and on the default 4x4...10x10 it was at most 1.2 eps ||m||. The
     cholesky bound holds on any host. Never raise a budget to let a slower
     change pass.
     """

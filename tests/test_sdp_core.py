@@ -457,15 +457,14 @@ def eigh_projection(m):
 def eigh_calls(monkeypatch):
     """Counts the dense np.linalg.eigh calls made after the fixture is set up.
 
-    The 2x2 or 3x3 Rayleigh-Ritz eigh of _psd_split's Krylov step is not
-    counted; every test that takes this fixture works at orders of at least
-    11.
+    The 3x3 Rayleigh-Ritz eigh of _psd_split's Krylov step is not counted;
+    every test that takes this fixture works at orders of at least 11.
     """
     calls = []
     original = np.linalg.eigh
 
     def counting(a):
-        if a.shape[0] > 3:
+        if a.shape[0] != 3:
             calls.append(a.shape[0])
         return original(a)
 
