@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Position3D, Scenario, ValidationError, aoa_angles, distance
+from .scenario import Position3D, Scenario, ValidationError, _integer, aoa_angles, distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,9 +46,7 @@ class PhaseConfig:
 
 def identity_phases(num_elements: int) -> PhaseConfig:
     """All-zero phase shifts (the RIS phase matrix is the identity)."""
-    if num_elements < 1:
-        raise ValidationError(f"need at least one element, got {num_elements}")
-    return PhaseConfig(np.zeros(num_elements))
+    return PhaseConfig(np.zeros(_integer("num_elements", num_elements, 1)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ solve_fractional_sdp maximizes (ns*tr(N V)) / (ds*tr(D V) + off) over the
 same feasible set, for rank-one N = w_num w_num^H and D = w_den w_den^H given
 by their factors. It runs Dinkelbach iteration from a caller-supplied
 feasible rank-one start, each step solving the inner SDP with
-C = ns*N - lambda*ds*D and warm-starting from the previous state. The
+C = ns*N - lambda*ds*D and starting its splitting at the incumbent. The
 certified inner bounds give a certified upper bound on the ratio.
 """
 from __future__ import annotations
@@ -274,16 +274,15 @@ def solve_unit_diag_sdp(
     c,
     tol: float = 1e-7,
     max_iters: int = 20000,
-    state: dict | None = None,
+    start=None,
 ) -> SdpSolution:
     """Maximize tr(c X) s.t. diag(X) = 1, X PSD, with a certified gap.
 
     Stops when upper - lower <= tol*(1 + |lower|), tested at the start, at
     iterations 1, 2, 4, 8 and 16, at every multiple of _CHECK_EVERY and at
-    max_iters. state carries the splitting state (z, u, rho) across related
-    solves: each key present warm-starts its part (seeded values must be
-    finite, rho > 0), each missing key starts cold (z = I, u = 0,
-    rho = max(||c||/n, 1e-12)), and any dict is updated with the final state.
+    max_iters. The splitting starts at z = start (default I; it must be
+    finite and have the shape of c, and it is read, never written) with
+    u = 0 and rho = max(||c||/n, 1e-12).
     Each iteration projects onto the PSD cone with _psd_split, which skips
     the dense eigh at order >= _SPLIT_MIN_ORDER while one side of the
     iterate's spectrum keeps at most one eigenvalue.
@@ -294,32 +293,16 @@ def solve_unit_diag_sdp(
     max_iters = _integer("max_iters", max_iters, 0)
     n = cm.shape[0]
 
-    seeded = state or {}
     # The loop writes diagonals through C-order strided views (_diag), so
-    # seeded arrays are taken C-contiguous; a C-contiguous complex z or u is
-    # used in place and never written. The in-place rho rescaling runs only
-    # at it % 10 == 0, after that iteration's _psd_split has replaced u with
-    # a new array (or with the loop's own m), so it never reaches the
-    # caller's u.
-    z = (
-        np.ascontiguousarray(seeded["z"], dtype=complex)
-        if "z" in seeded
-        else np.eye(n, dtype=complex)
-    )
-    u = (
-        np.ascontiguousarray(seeded["u"], dtype=complex)
-        if "u" in seeded
-        else np.zeros((n, n), dtype=complex)
-    )
-    rho = float(seeded["rho"]) if "rho" in seeded else max(float(np.linalg.norm(cm)) / n, 1e-12)
-    if z.shape != cm.shape or u.shape != cm.shape:
-        raise ValidationError(
-            f"state z and u must have the shape of c {cm.shape}, got {z.shape} and {u.shape}"
-        )
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise ValidationError(f"state rho must be finite and > 0, got {rho!r}")
-    if not (np.isfinite(z).all() and np.isfinite(u).all()):
-        raise ValidationError("state z and u must be finite")
+    # start is taken C-contiguous; a C-contiguous complex start is used in
+    # place and never written.
+    z = np.eye(n, dtype=complex) if start is None else np.ascontiguousarray(start, dtype=complex)
+    if z.shape != cm.shape:
+        raise ValidationError(f"start must have the shape of c {cm.shape}, got {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValidationError("start must be finite")
+    u = np.zeros((n, n), dtype=complex)
+    rho = max(float(np.linalg.norm(cm)) / n, 1e-12)
 
     alpha = 1.6  # over-relaxation
     best_lb = -math.inf
@@ -374,8 +357,6 @@ def solve_unit_diag_sdp(
     if best_x is None:  # pragma: no cover - certify always runs at least once
         _, best_x = _feasible_primal(cm, z)
         best_lb = _real_trace_product(cm, best_x)
-    if state is not None:
-        state.update({"z": z, "u": u, "rho": rho})
     best_x.setflags(write=False)
     return SdpSolution(
         x_opt=best_x,
@@ -411,16 +392,17 @@ def solve_fractional_sdp(
 
     N = w_num w_num^H and D = w_den w_den^H are given by their rank-one
     factors. Feasible set: V Hermitian PSD with unit diagonal. start is a
-    unit-modulus vector; its lifting start start^H seeds the incumbent, the
-    first lambda and the splitting state. Dinkelbach iteration with
-    incumbent retention, so lambda never decreases. Stops once
-    the certified gap on the ratio, ratio_upper_bound - ratio_opt, falls
-    below tol*(1 + |ratio_opt|), or after _MAX_STEPS steps. The problem is
-    internally normalized so that num_scale*tr(N) + den_scale*tr(D) +
-    den_offset = 1, making tolerances meaningful for arbitrarily scaled
-    physical inputs (the ratio is unchanged). The arguments are not checked:
-    the package's one caller, optimizer.optimize_phases, passes lift's
-    factors, a validated Scenario's power terms and a unit-modulus anchor.
+    unit-modulus vector; its lifting start start^H is the first incumbent
+    and sets the first lambda. Dinkelbach iteration with incumbent
+    retention, so lambda never decreases; each inner solve starts its
+    splitting at the incumbent. Stops once the certified gap on the ratio,
+    ratio_upper_bound - ratio_opt, falls below tol*(1 + |ratio_opt|), or
+    after _MAX_STEPS steps. The problem is internally normalized so that
+    num_scale*tr(N) + den_scale*tr(D) + den_offset = 1, making tolerances
+    meaningful for arbitrarily scaled physical inputs (the ratio is
+    unchanged). The arguments are not checked: the package's one caller,
+    optimizer.optimize_phases, passes lift's factors, a validated
+    Scenario's power terms and a unit-modulus anchor.
     """
     # np.outer's complex products are conjugate-symmetric only up to rounding
     # (numpy may fuse the multiply-add), so both are symmetrized once here.
@@ -451,13 +433,12 @@ def solve_fractional_sdp(
     f, g = ratio_parts(best_v)
     best_ratio = lam = f / g
     ratio_upper = math.inf
-    state: dict = {"z": best_v}
     inner_solves = 0
     converged = False
     inner_tol = _INNER_TOL
 
     for _ in range(_MAX_STEPS):
-        sol = solve_unit_diag_sdp(a - lam * b, tol=inner_tol, max_iters=inner_max_iters, state=state)
+        sol = solve_unit_diag_sdp(a - lam * b, tol=inner_tol, max_iters=inner_max_iters, start=best_v)
         inner_solves += 1
         v = sol.x_opt
         f, g = ratio_parts(v)
@@ -472,9 +453,9 @@ def solve_fractional_sdp(
         if _gap_closed(ratio_upper, best_ratio, tol):
             converged = True
             break
-        # A warm-started re-solve exits immediately once it meets the inner
-        # tolerance, so when the inner certificate dominates the residual
-        # the outer gap can only shrink by tightening that tolerance.
+        # Each inner solve stops as soon as it meets the inner tolerance, so
+        # when the inner certificate dominates the residual the outer gap
+        # can only shrink by tightening that tolerance.
         if sol.duality_gap_estimate > 0.5 * max(phi_ub, 0.0):
             inner_tol = max(0.1 * inner_tol, 1e-13)
 

@@ -53,6 +53,11 @@ class TestPhaseConfig:
         assert np.array_equal(pc.thetas, np.zeros(4))
         assert np.array_equal(pc.unit_phasors(), np.ones(4, dtype=complex))
 
+    @pytest.mark.parametrize("count", [0, True, 2.5, "3"])
+    def test_identity_rejects_non_count(self, count):
+        with pytest.raises(ValidationError, match="num_elements"):
+            identity_phases(count)
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValidationError):
             PhaseConfig(np.array([]))

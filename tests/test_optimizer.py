@@ -339,12 +339,28 @@ class TestReportFromLift:
             assert res.final_report == evaluate(sc, res.phases)
 
 
-class TestWorkBudget:
-    """Work counts of the default K = 100 optimize.
+@pytest.fixture
+def inner_iterations(monkeypatch):
+    """The ADMM iterations of each inner solve run after set-up, in order."""
+    steps = []
+    solve = sdp_core.solve_unit_diag_sdp
 
-    Measured on one x86-64 host with OpenBLAS 0.3.31, equal under 1 and 2
-    BLAS threads: 650 ADMM steps, 0 solve, 18 eigh and 640 cholesky calls
-    at order 101 (the 3x3 Ritz eigh calls, 198 and 243, are not counted).
+    def counting_steps(c, **kwargs):
+        sol = solve(c, **kwargs)
+        steps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(sdp_core, "solve_unit_diag_sdp", counting_steps)
+    return steps
+
+
+class TestWorkBudget:
+    """Work counts of the default K = 100 optimize and of the two-step solves.
+
+    K = 100: measured on one x86-64 host with OpenBLAS 0.3.31, equal under
+    1 and 2 BLAS threads: 650 ADMM steps, 0 solve, 18 eigh and 640 cholesky
+    calls at order 101 (the 3x3 Ritz eigh calls, 198 and 243, are not
+    counted).
     The counts depend on rounding, so another BLAS build may differ; an LU
     solve runs only when the 3x3 Ritz pair's residual exceeds 64 eps ||m||,
     and on the default 4x4...10x10 it was at most 1.2 eps ||m||. The
@@ -352,7 +368,7 @@ class TestWorkBudget:
     change pass.
     """
 
-    def test_default_k100_kernel_calls(self, monkeypatch):
+    def test_default_k100_kernel_calls(self, monkeypatch, inner_iterations):
         order = 101
         calls = dict.fromkeys(("solve", "eigh", "cholesky"), 0)
         for name in calls:
@@ -362,17 +378,21 @@ class TestWorkBudget:
                 return _original(a, *args)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        steps = []
-        solve = sdp_core.solve_unit_diag_sdp
-
-        def counting_steps(c, **kwargs):
-            sol = solve(c, **kwargs)
-            steps.append(sol.iterations)
-            return sol
-
-        monkeypatch.setattr(sdp_core, "solve_unit_diag_sdp", counting_steps)
         assert optimize(default_scenario(k_rows=10, k_cols=10), seed=0).converged
         assert calls["solve"] == 0
         assert calls["eigh"] <= 20
         # every ADMM step without a dense eigh is certified by a factorization
-        assert calls["cholesky"] >= sum(steps) - calls["eigh"]
+        assert calls["cholesky"] >= sum(inner_iterations) - calls["eigh"]
+
+    @pytest.mark.parametrize("draw", [175, 188, 199])
+    def test_second_dinkelbach_step(self, inner_iterations, draw):
+        # The two-step solves among the first 200 draws under default_rng(7)
+        # (K <= 9; the only other multi-step one, draw 132, runs 4 capped
+        # steps). Started at the incumbent, their second inner solve ran 16,
+        # 50 and 25 ADMM iterations (1 and 2 BLAS threads); the budget is
+        # twice the largest, two checkpoints or more above each.
+        rng = np.random.default_rng(7)
+        scenarios = [make_random_scenario(rng) for _ in range(draw + 1)]
+        assert optimize(scenarios[draw], seed=draw).converged
+        assert len(inner_iterations) == 2
+        assert inner_iterations[1] <= 100

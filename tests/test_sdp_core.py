@@ -162,48 +162,42 @@ class TestUnitDiagSdp:
         # the feasible primal is still returned
         assert np.allclose(np.diag(sol.x_opt).real, 1.0, atol=1e-9)
 
-    def test_warm_start_helps(self):
-        c = random_hermitian(12, 6)
-        state: dict = {}
-        cold = solve_unit_diag_sdp(c, tol=1e-8, state=state)
-        warm = solve_unit_diag_sdp(c, tol=1e-8, state=state)
-        assert warm.iterations <= cold.iterations
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-6)
+    def test_warm_start_helps(self, monkeypatch):
+        # the lifted default K = 9 and K = 25 first Dinkelbach C: started at
+        # the Dinkelbach start the solve certifies (after 2 and 250
+        # iterations), started cold it stalls above tol
+        for k in (3, 5):
+            c, tol, _, warm = first_inner_solve(monkeypatch, k, k)
+            assert warm.converged
+            assert warm.iterations < 2000
+            cold = solve_unit_diag_sdp(c, tol=tol, max_iters=2000)
+            assert cold.iterations == 2000
+            assert not cold.converged
 
-    def test_missing_state_keys_start_cold(self):
+    def test_default_start_is_identity(self):
         c = random_hermitian(6, 17)
-        p = np.exp(1j * np.random.default_rng(18).uniform(0.0, 2 * math.pi, 6))
-        z0 = np.outer(p, p.conj())
-        cold = {"u": np.zeros((6, 6), dtype=complex), "rho": max(np.linalg.norm(c) / 6, 1e-12)}
-        a = solve_unit_diag_sdp(c, tol=1e-9, state={"z": z0})
-        b = solve_unit_diag_sdp(c, tol=1e-9, state={"z": z0, **cold})
+        a = solve_unit_diag_sdp(c, tol=1e-9)
+        b = solve_unit_diag_sdp(c, tol=1e-9, start=np.eye(6))
+        assert a.iterations == b.iterations > 0
         assert a.objective == b.objective
         assert a.duality_gap_estimate == b.duality_gap_estimate
-        assert a.iterations == b.iterations
         assert np.array_equal(a.x_opt, b.x_opt)
 
-    @pytest.mark.parametrize("key", ["z", "u"])
-    def test_wrong_shape_state_rejected(self, key):
-        with pytest.raises(ValidationError, match="state"):
-            solve_unit_diag_sdp(random_hermitian(4, 19), state={key: np.eye(3)})
+    def test_wrong_shape_start_rejected(self):
+        with pytest.raises(ValidationError, match="start"):
+            solve_unit_diag_sdp(random_hermitian(4, 19), start=np.eye(3))
 
     def test_bad_tol_rejected(self):
         with pytest.raises(ValidationError):
             solve_unit_diag_sdp(np.eye(2), tol=0.0)
 
-    @pytest.mark.parametrize("rho", [0.0, math.nan, math.inf, -1.0])
-    def test_bad_seeded_rho_rejected(self, rho):
-        with pytest.raises(ValidationError, match="rho"):
-            solve_unit_diag_sdp(np.array([[1.0, 0.5], [0.5, 2.0]]), state={"rho": rho})
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("key", ["z", "u"])
-    def test_non_finite_seeded_state_rejected(self, key, bad):
+    def test_non_finite_start_rejected(self, bad):
         exchange = np.array([[0.0, 1.0], [1.0, 0.0]])
         off_diagonal = np.array([[1.0, bad], [bad, 1.0]])
-        for seeded in (off_diagonal, np.full((2, 2), bad)):
-            with pytest.raises(ValidationError, match="state z and u must be finite"):
-                solve_unit_diag_sdp(exchange, state={key: seeded})
+        for start in (off_diagonal, np.full((2, 2), bad)):
+            with pytest.raises(ValidationError, match="start must be finite"):
+                solve_unit_diag_sdp(exchange, start=start)
 
     @pytest.mark.parametrize("max_iters", [2.5, True, -1])
     def test_non_integer_max_iters_rejected(self, max_iters):
@@ -282,12 +276,20 @@ class TestUnsymmetrizedStep:
         assert abs(sol.duality_gap_estimate - gap) <= 1e-10 * scale
 
     @pytest.mark.parametrize("n, seed", [(3, 1), (10, 7), (26, 8)])
-    def test_state_stays_hermitian_over_a_long_run(self, n, seed):
-        state: dict = {}
-        sol = solve_unit_diag_sdp(random_hermitian(n, seed), tol=1e-15, max_iters=5000, state=state)
+    def test_state_stays_hermitian_over_a_long_run(self, n, seed, monkeypatch):
+        last = []
+        split = sdp_core._psd_split
+
+        def recording(m, lone):
+            z, u, lone = split(m, lone)
+            last[:] = [m, z, u]
+            return z, u, lone
+
+        monkeypatch.setattr(sdp_core, "_psd_split", recording)
+        sol = solve_unit_diag_sdp(random_hermitian(n, seed), tol=1e-15, max_iters=5000)
         assert sol.iterations == 5000
-        for key in ("z", "u"):
-            m = state[key]
+        # the last split's input and its two parts, the final z and u
+        for m in last:
             assert np.linalg.norm(0.5 * (m - m.conj().T)) <= 1e-10 * np.linalg.norm(m)
 
 
@@ -346,21 +348,24 @@ class TestCertificateKernels:
 class TestNoCallerCopies:
     """The solver reads a caller's arrays without writing or re-flagging them."""
 
-    def test_seeded_u_unchanged_when_rho_balancing_rescales(self):
+    def test_start_unchanged_when_rho_balancing_rescales(self, monkeypatch):
         c = random_hermitian(8, 21)
-        z0, u0, rho0 = random_psd(8, 22), 0.1 * random_hermitian(8, 23), 1e3
-        state = {"z": z0, "u": u0, "rho": rho0}
-        before = u0.copy(), z0.copy()
-        solve_unit_diag_sdp(c, tol=1e-15, max_iters=30, state=state)
-        assert state["rho"] != rho0
-        assert np.array_equal(u0, before[0])
-        assert np.array_equal(z0, before[1])
+        # a start far off the unit diagonal makes the rho balancing rescale u
+        z0 = 100.0 * random_psd(8, 22)
+        before = z0.copy()
+        rhos = []
+        bound = sdp_core._feasible_dual_bound
 
-    def test_seeded_u_is_read_in_place(self):
-        u0 = 0.1 * random_hermitian(8, 28)
-        state = {"z": random_psd(8, 29), "u": u0, "rho": 1.0}
-        solve_unit_diag_sdp(random_hermitian(8, 30), max_iters=0, state=state)
-        assert state["u"] is u0
+        def recording(c, rho, u):
+            rhos.append(rho)
+            return bound(c, rho, u)
+
+        monkeypatch.setattr(sdp_core, "_feasible_dual_bound", recording)
+        sol = solve_unit_diag_sdp(c, tol=1e-15, max_iters=30, start=z0)
+        assert sol.iterations == 30
+        assert rhos[-1] != rhos[0]
+        assert np.array_equal(z0, before)
+        assert z0.flags.writeable
 
     def test_exact_hermitian_caller_matrix_stays_writeable(self):
         c = random_hermitian(6, 24)
@@ -373,13 +378,9 @@ class TestNoCallerCopies:
 
     def test_fortran_ordered_inputs_solve_alike(self):
         c = random_hermitian(9, 25)
-        z0, u0 = random_psd(9, 26), 0.1 * random_hermitian(9, 27)
-        ref = solve_unit_diag_sdp(c, tol=1e-9, state={"z": z0, "u": u0})
-        sol = solve_unit_diag_sdp(
-            np.asfortranarray(c),
-            tol=1e-9,
-            state={"z": np.asfortranarray(z0), "u": np.asfortranarray(u0)},
-        )
+        z0 = random_psd(9, 26)
+        ref = solve_unit_diag_sdp(c, tol=1e-9, start=z0)
+        sol = solve_unit_diag_sdp(np.asfortranarray(c), tol=1e-9, start=np.asfortranarray(z0))
         assert sol.iterations == ref.iterations > 0
         assert sol.objective == ref.objective
         assert np.array_equal(sol.x_opt, ref.x_opt)
@@ -394,9 +395,9 @@ def first_inner_solve(monkeypatch, k_rows, k_cols):
     runs on the lifted default scenario; z is the Dinkelbach start."""
     seen = []
 
-    def spy(c, tol, max_iters, state):
-        z = np.array(state["z"])
-        seen.append((c, tol, z, solve_unit_diag_sdp(c, tol=tol, max_iters=max_iters, state=state)))
+    def spy(c, tol, max_iters, start):
+        z = np.array(start)
+        seen.append((c, tol, z, solve_unit_diag_sdp(c, tol=tol, max_iters=max_iters, start=start)))
         raise _FirstStepDone
 
     monkeypatch.setattr(sdp_core, "solve_unit_diag_sdp", spy)
