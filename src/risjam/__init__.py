@@ -13,15 +13,9 @@ from .scenario import (
     scenario_from_config,
 )
 from .channel import PhaseConfig, build_channel_set, identity_phases
-from .link import SjnrReport, effective_gains, evaluate, sjnr
+from .link import SjnrReport, evaluate, lift
 from .sdp_core import solve_unit_diag_sdp
-from .optimizer import (
-    OptimizerSettings,
-    OptResult,
-    lift,
-    optimize,
-    optimize_phases,
-)
+from .optimizer import OptimizerSettings, OptResult, optimize, optimize_phases
 from .harness import (
     CSV_HEADER,
     SweepSpec,
@@ -54,7 +48,6 @@ __all__ = [
     "build_channel_set",
     "db_to_linear",
     "default_scenario",
-    "effective_gains",
     "evaluate",
     "fig2_spec",
     "fig3_spec",
@@ -70,7 +63,6 @@ __all__ = [
     "oracle_exhaustive",
     "run_sweep",
     "scenario_from_config",
-    "sjnr",
     "solve_unit_diag_sdp",
     "write_sweep_csv",
     "__version__",

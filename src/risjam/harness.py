@@ -3,6 +3,8 @@
 The sweeps move one scenario coordinate along a grid (transmitter height,
 RIS height, or element count), run the optimizer plus two labeled
 non-optimized baselines at every point, and emit deterministic CSV rows.
+The baselines and the oracle read every SJNR from LiftedProblem.powers,
+as link.evaluate does.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import TWO_PI, PhaseConfig, build_channel_set
-from .link import SjnrReport, evaluate
-from .optimizer import OptimizerSettings, OptResult, lift, optimize
+from .link import SjnrReport, evaluate, lift
+from .optimizer import OptimizerSettings, OptResult, optimize
 from .scenario import Position3D, Scenario, ValidationError, _integer, default_scenario, linear_to_db
 
 SWEEP_VARIABLES = ("leo_distance", "ris_distance", "num_elements")
@@ -97,12 +99,6 @@ class SweepRow:
     converged: bool = True
 
 
-def _lifted_block(scenario: Scenario, phasors: np.ndarray) -> tuple:
-    """The lifted problem at the power cap, and each row of phasors as a column [u; 1]."""
-    lifted = lift(build_channel_set(scenario), scenario)
-    return lifted, np.vstack([phasors.T, np.ones(len(phasors), dtype=complex)])
-
-
 def baseline_identity(scenario: Scenario) -> SjnrReport:
     """SJNR at identity phases and the power cap; one non-optimized reading."""
     return evaluate(scenario)
@@ -118,16 +114,10 @@ def baseline_random_mean(scenario: Scenario, n_samples: int = 100, seed: int = 0
     n_samples = _integer("n_samples", n_samples, 1)
     rng = np.random.default_rng(_integer("seed", seed, 0))
     phasors = np.exp(1j * rng.uniform(0.0, TWO_PI, (n_samples, scenario.num_elements)))
-    lifted, block = _lifted_block(scenario, phasors)
-    mean_lin = float(np.mean(lifted.sjnr_of(block)))
-    gamma, delta = (np.abs(w.conj() @ block) ** 2 for w in (lifted.w_tx, lifted.w_jam))
-    return SjnrReport(
-        sjnr_linear=mean_lin,
-        sjnr_db=linear_to_db(mean_lin),
-        signal_w=float(np.mean(scenario.p_tx_max * gamma)),
-        jam_w=float(np.mean(scenario.p_jam * delta)),
-        noise_w=scenario.noise_power,
-    )
+    block = np.vstack([phasors.T, np.ones(n_samples, dtype=complex)])
+    powers = lift(build_channel_set(scenario), scenario).powers(block)
+    signal_w, jam_w, sjnr_linear = (float(np.mean(p)) for p in powers)
+    return SjnrReport(sjnr_linear, linear_to_db(sjnr_linear), signal_w, jam_w, scenario.noise_power)
 
 
 def oracle_exhaustive(scenario: Scenario, levels: int) -> SjnrReport:
@@ -142,10 +132,11 @@ def oracle_exhaustive(scenario: Scenario, levels: int) -> SjnrReport:
             f"exhaustive budget exceeded: {levels}**{k} > {ORACLE_BUDGET}"
         )
     axis = TWO_PI * np.arange(levels) / levels
-    combos = np.stack(np.meshgrid(*([axis] * k), indexing="ij"), axis=-1).reshape(-1, k)
-    lifted, block = _lifted_block(scenario, np.exp(1j * combos))
-    best = int(np.argmax(lifted.sjnr_of(block)))
-    return evaluate(scenario, PhaseConfig(combos[best]))
+    # Row i: the base-levels digits of i, most significant first (meshgrid's 'ij' order, any K).
+    combos = axis[np.arange(levels**k)[:, None] // levels ** np.arange(k - 1, -1, -1) % levels]
+    block = np.vstack([np.exp(1j * combos).T, np.ones(len(combos), dtype=complex)])
+    lifted = lift(build_channel_set(scenario), scenario)
+    return lifted.report(PhaseConfig(combos[int(np.argmax(lifted.sjnr_of(block)))]))
 
 
 def _scenario_at(spec: SweepSpec, value: float, size: tuple) -> Scenario:

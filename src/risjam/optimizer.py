@@ -1,18 +1,18 @@
 """Joint transmit-power and RIS-phase optimization.
 
 The SJNR is strictly increasing in transmit power for fixed phases, so the
-transmit power is the cap. The phase subproblem lifts the
-unit-modulus phase vector (with a trailing homogenization slot fixed to 1)
-so both total path gains become rank-one quadratic forms, relaxes to a
-unit-diagonal PSD program, solves the fractional SDP by Dinkelbach
-iteration, and recovers feasible phases from the phase-projected leading
-eigenvector of its solution. The identity phases and the
-transmitter-aligned phases are scored once, seed the solver, and stay in
-the candidate pool. Gaussian randomization runs only when the best of
-these three candidates fails the solver's certified-gap test, so a
-certified solve does not depend on its seed. The phase maximizer does
-not depend on the power, so one phase solve at the cap reaches the fixed
-point of alternating optimization.
+transmit power is the cap. The phase subproblem works on link.lift's model,
+where both total path gains are rank-one quadratic forms of the phase
+vector plus a trailing slot fixed to 1, and scores every candidate with
+LiftedProblem.powers. It relaxes to a unit-diagonal PSD program, solves
+the fractional SDP by Dinkelbach iteration, and recovers feasible phases
+from the phase-projected leading eigenvector of its solution. The
+identity phases and the transmitter-aligned phases are scored once, seed
+the solver, and stay in the candidate pool. Gaussian randomization runs
+only when the best of these three candidates fails the solver's
+certified-gap test, so a certified solve does not depend on its seed. The
+phase maximizer does not depend on the power, so one phase solve at the
+cap reaches the fixed point of alternating optimization.
 """
 from __future__ import annotations
 
@@ -20,44 +20,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, PhaseConfig, build_channel_set
-from .link import SjnrReport, _gains, _power_gain, _report
-from .scenario import Scenario, ValidationError, _integer, linear_to_db
+from .channel import PhaseConfig, build_channel_set
+from .link import LiftedProblem, SjnrReport, lift
+from .scenario import Scenario, _integer, linear_to_db
 from .sdp_core import _gap_closed, _phase_project, extract_rank_one, solve_fractional_sdp
 
 # Gaussian randomization draws, run only for an uncertified pick.
 _N_DRAWS = 200
-
-
-@dataclass(frozen=True, eq=False)
-class LiftedProblem:
-    """Rank-one lifted forms of the two path gains, plus the power budget.
-
-    w_tx / w_jam are the rank-one factors: for a unit-modulus candidate u
-    with trailing slot 1, |w^H u|^2 equals |h_direct + h_cascade|^2 of the
-    corresponding satellite exactly, so the lifted forms are w w^H. Only
-    lift builds it, from a validated Scenario and its ChannelSet.
-    """
-
-    w_tx: np.ndarray
-    w_jam: np.ndarray
-    p_tx: float
-    p_jam: float
-    noise_power: float
-
-    @property
-    def order(self) -> int:
-        return int(self.w_tx.size)
-
-    def sjnr_of(self, candidate: np.ndarray) -> float | np.ndarray:
-        """Exact SJNR of unit-modulus candidates via the rank-one factors.
-
-        candidate is one vector of shape (n,), giving one SJNR, or a block
-        of shape (n, m) whose columns are candidates, giving m SJNRs.
-        """
-        f = _power_gain(self.w_tx, candidate)
-        g = _power_gain(self.w_jam, candidate)
-        return self.p_tx * f / (self.p_jam * g + self.noise_power)
 
 
 @dataclass(frozen=True)
@@ -120,28 +89,6 @@ class OptResult:
         }
 
 
-def lift(channels: ChannelSet, scenario: Scenario) -> LiftedProblem:
-    """The rank-one lifted forms of both total path gains at the power cap.
-
-    The factors are ChannelSet.gain_factors: for any unit-modulus candidate
-    u = [e^{j theta_1}, ..., e^{j theta_K}, 1], w^H u is the direct-plus-
-    reflected gain that link.effective_gains squares.
-    """
-    if channels.num_elements != scenario.num_elements:
-        raise ValidationError(
-            f"channel set has {channels.num_elements} elements, scenario "
-            f"{scenario.num_elements}"
-        )
-    w_tx, w_jam = channels.gain_factors()
-    return LiftedProblem(
-        w_tx=w_tx,
-        w_jam=w_jam,
-        p_tx=scenario.p_tx_max,
-        p_jam=scenario.p_jam,
-        noise_power=scenario.noise_power,
-    )
-
-
 def optimize_phases(lifted: LiftedProblem, settings: OptimizerSettings, seed) -> PhaseSolveResult:
     """Solve the phase subproblem: fractional SDR plus rank-one recovery.
 
@@ -194,16 +141,15 @@ def optimize(scenario: Scenario, settings: OptimizerSettings | None = None, seed
     phases the SJNR p*F(u) / (p_jam*G(u) + N) increases in p, so the power
     step returns the cap whatever the phases are; for fixed power the phase
     maximizer of F(u) / (p_jam*G(u) + N) does not depend on p. A second
-    round would repeat the same phase solve. The pick is reported from
-    lift's factors with link.evaluate's arithmetic, so the channels are
-    built once and the validated scenario's powers are not re-checked.
+    round would repeat the same phase solve. The pick is reported by
+    LiftedProblem.report, the path link.evaluate takes, from the channels
+    built once for the solve.
     """
     seed = _integer("seed", seed, 0)
     settings = settings or OptimizerSettings()
     lifted = lift(build_channel_set(scenario), scenario)
     ps = optimize_phases(lifted, settings, seed)
-    gains = _gains(lifted.w_tx, lifted.w_jam, ps.phases)
-    best = _report(gains, lifted.p_tx, lifted.p_jam, lifted.noise_power)
+    best = lifted.report(ps.phases)
     return OptResult(
         phases=ps.phases,
         p_tx=scenario.p_tx_max,

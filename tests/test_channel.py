@@ -17,7 +17,6 @@ from risjam import (
     ValidationError,
     build_channel_set,
     default_scenario,
-    effective_gains,
     identity_phases,
 )
 from risjam.channel import (
@@ -27,6 +26,7 @@ from risjam.channel import (
     ris_link_channel,
     steering_vector,
 )
+from risjam.link import effective_gains
 from risjam.scenario import aoa_angles
 
 from conftest import make_random_scenario

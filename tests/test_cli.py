@@ -351,6 +351,14 @@ class TestOracle:
         sc = default_scenario(k_rows=2, k_cols=2)
         assert payload["sjnr_linear"] >= evaluate(sc).sjnr_linear
 
+    def test_single_level_on_100_elements(self, capsys, tmp_path):
+        path = tmp_path / "ris100.json"
+        path.write_text(json.dumps({"k_rows": 10, "k_cols": 10}))
+        code, out, _ = run_cli(capsys, ["oracle", "--config", str(path), "--levels", "1"])
+        assert code == 0
+        sc = default_scenario(k_rows=10, k_cols=10)
+        assert json.loads(out)["sjnr_linear"] == evaluate(sc).sjnr_linear
+
     def test_budget_guard_exits_2(self, capsys, config_path):
         code, _, err = run_cli(
             capsys, ["oracle", "--config", config_path, "--levels", "100"]

@@ -109,6 +109,11 @@ class TestOracle:
         sc = default_scenario(k_rows=2, k_cols=2)
         assert oracle_exhaustive(sc, 1).sjnr_linear == evaluate(sc).sjnr_linear
 
+    def test_single_level_past_64_elements(self):
+        # a K-dimensional grid would exceed numpy's 64-dimension limit here
+        sc = default_scenario(k_rows=10, k_cols=10)
+        assert oracle_exhaustive(sc, 1) == evaluate(sc)
+
     def test_budget_guard(self):
         with pytest.raises(ValidationError):
             oracle_exhaustive(default_scenario(), 6)  # 6**9 > 1e6

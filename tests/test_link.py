@@ -12,13 +12,11 @@ from risjam import (
     ValidationError,
     build_channel_set,
     default_scenario,
-    effective_gains,
     evaluate,
     identity_phases,
-    sjnr,
 )
 from risjam.channel import TWO_PI, ChannelSet
-from risjam.link import EffectiveGains
+from risjam.link import EffectiveGains, effective_gains, sjnr
 
 from conftest import make_random_scenario
 
